@@ -165,6 +165,71 @@ CaseResult bench_batch_predict(std::size_t m, std::size_t threads, int reps) {
   return {"svr_batch_predict", m, serial_ms, parallel_ms, identical};
 }
 
+/// A Pareto request's shape: 34 frequency-grid rows that share a kernel's 10
+/// static columns and differ in the 2 clock columns, against a linear and
+/// an RBF SVR of `n_sv` support vectors each (the default model has ~1.5k
+/// and ~0.9k). Reference = predict_one per row; optimized = one grid
+/// predict per model, which reduces the shared columns once per support
+/// vector. The models are built through Svr::deserialize, so the case
+/// costs no training.
+CaseResult bench_svr_grid_predict(std::size_t n_sv, int reps) {
+  constexpr std::size_t kDim = 12;
+  constexpr std::size_t kStatic = 10;
+  constexpr std::size_t kRows = 34;
+  common::Xoshiro256 rng(0x6121D + n_sv);
+  const auto make_model = [&](const char* kernel) {
+    std::string text = "svr " + std::string(kernel) + " 0.1 0 0 1000 0.1 0.25 " +
+                       std::to_string(n_sv) + ' ' + std::to_string(kDim) + '\n';
+    char value[32];
+    for (std::size_t j = 0; j < n_sv; ++j) {
+      std::snprintf(value, sizeof value, "%.17g", rng.uniform(-1.0, 1.0));
+      text += value;
+      for (std::size_t c = 0; c < kDim; ++c) {
+        std::snprintf(value, sizeof value, " %.17g", rng.uniform());
+        text += value;
+      }
+      text += '\n';
+    }
+    return ml::Svr::deserialize(text).value();
+  };
+  const ml::Svr models[] = {make_model("linear"), make_model("rbf")};
+
+  ml::Matrix grid(kRows, kDim);
+  for (std::size_t c = 0; c < kStatic; ++c) {
+    const double v = rng.uniform();
+    for (std::size_t r = 0; r < kRows; ++r) grid(r, c) = v;
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = kStatic; c < kDim; ++c) grid(r, c) = rng.uniform();
+  }
+
+  std::vector<double> reference;
+  std::vector<double> optimized;
+  const double serial_ms = time_ms(
+      [&] {
+        reference.clear();
+        for (const auto& model : models) {
+          for (std::size_t r = 0; r < kRows; ++r) {
+            reference.push_back(model.predict_one(grid.row(r)));
+          }
+        }
+      },
+      reps);
+  const double parallel_ms = time_ms(
+      [&] {
+        optimized.clear();
+        for (const auto& model : models) {
+          const auto out = model.predict(grid);
+          optimized.insert(optimized.end(), out.begin(), out.end());
+        }
+      },
+      reps);
+  const bool identical =
+      reference.size() == optimized.size() &&
+      std::memcmp(reference.data(), optimized.data(), reference.size() * sizeof(double)) == 0;
+  return {"svr_grid_predict", n_sv, serial_ms, parallel_ms, identical};
+}
+
 /// O(n^2) Algorithm 1 vs the O(n log n) skyline on the same point cloud.
 CaseResult bench_pareto(std::size_t n, int reps) {
   const auto pts = make_points(n, 0xFA57 + n);
@@ -1293,6 +1358,8 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> predict_sizes =
       smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{2000, 10000, 40000};
   for (std::size_t m : predict_sizes) run(bench_batch_predict(m, threads, reps));
+  // Sub-millisecond per call: extra repetitions, the same size in smoke.
+  run(bench_svr_grid_predict(1536, smoke ? 5 : 20));
 
   const std::vector<std::size_t> pareto_sizes =
       smoke ? std::vector<std::size_t>{500} : std::vector<std::size_t>{2000, 8000, 20000};

@@ -38,6 +38,129 @@ inline double reduce_lanes(const double lanes[kLanes]) noexcept {
   return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
 }
 
+// --- column-batched partials -------------------------------------------------
+//
+// prefix_partials / finish_suffix run the contract's per-vector sequence —
+// element i into lane i % 4, ascending, then ((l0 + l1) + l2) + l3 — over
+// column-stored vectors. The vector backend puts four *vectors* side by side
+// in one register (vertical, element-wise), so each vector still sees the
+// scalar operation sequence; the templates below are shared by both
+// backends, instantiated on `double` and on the 4-lane simd type.
+
+/// One reduction term: `a * b` (dot) or `(a - b)^2` (squared distance).
+template <Reduction Op, class V>
+inline V reduction_term(V a, V b) noexcept {
+  if constexpr (Op == Reduction::kDot) {
+    return a * b;
+  } else {
+    const V d = a - b;
+    return d * d;
+  }
+}
+
+/// Fold `t` into accumulator lane `i % 4`. Constant indices per branch let
+/// the compiler keep the four accumulators in registers.
+template <class V>
+inline void fold_lane(V (&acc)[kLanes], std::size_t i, V t) noexcept {
+  switch (i % kLanes) {
+    case 0: acc[0] += t; break;
+    case 1: acc[1] += t; break;
+    case 2: acc[2] += t; break;
+    default: acc[3] += t; break;
+  }
+}
+
+/// One vector per step: the unrolled backend and the vector backend's tail.
+struct ScalarOps {
+  using V = double;
+  static constexpr std::size_t kWidth = 1;
+  static double load(const double* p) noexcept { return *p; }
+  static void store(double* p, double v) noexcept { *p = v; }
+};
+
+/// Fold columns [lo, hi) of (x, the Ops::kWidth vectors starting at `j`)
+/// into `acc`, element i into lane i % 4 in ascending order. Whole lane
+/// groups go straight to their accumulators; only the ragged edges branch.
+template <class Ops, Reduction Op>
+inline void fold_columns(typename Ops::V (&acc)[kLanes], const double* x, const double* cols,
+                         std::size_t stride, std::size_t j, std::size_t lo,
+                         std::size_t hi) noexcept {
+  using V = typename Ops::V;
+  const auto term = [&](std::size_t i) {
+    return reduction_term<Op>(V(x[i]), Ops::load(cols + i * stride + j));
+  };
+  std::size_t i = lo;
+  for (; i < hi && i % kLanes != 0; ++i) fold_lane(acc, i, term(i));
+  for (; i + kLanes <= hi; i += kLanes) {
+    acc[0] += term(i);
+    acc[1] += term(i + 1);
+    acc[2] += term(i + 2);
+    acc[3] += term(i + 3);
+  }
+  for (; i < hi; ++i) fold_lane(acc, i, term(i));
+}
+
+/// prefix_partials over vectors [j_lo, j_hi); the range is a multiple of
+/// Ops::kWidth long.
+template <class Ops, Reduction Op>
+void prefix_partials_range(const double* x, std::size_t p, const double* cols,
+                           std::size_t stride, std::size_t j_lo, std::size_t j_hi,
+                           double* lanes) noexcept {
+  using V = typename Ops::V;
+  for (std::size_t j = j_lo; j < j_hi; j += Ops::kWidth) {
+    V acc[kLanes] = {V(0.0), V(0.0), V(0.0), V(0.0)};
+    fold_columns<Ops, Op>(acc, x, cols, stride, j, 0, p);
+    for (std::size_t l = 0; l < kLanes; ++l) Ops::store(lanes + l * stride + j, acc[l]);
+  }
+}
+
+/// finish_suffix over vectors [j_lo, j_hi), same range rule. The vector
+/// group's lanes are loaded once and reused by every row.
+template <class Ops, Reduction Op>
+void finish_suffix_range(const double* x, std::size_t rows, std::size_t n, std::size_t p,
+                         const double* cols, const double* lanes, std::size_t stride,
+                         std::size_t count, double scale, double* out, std::size_t j_lo,
+                         std::size_t j_hi) noexcept {
+  using V = typename Ops::V;
+  for (std::size_t j = j_lo; j < j_hi; j += Ops::kWidth) {
+    const V l0 = Ops::load(lanes + j);
+    const V l1 = Ops::load(lanes + stride + j);
+    const V l2 = Ops::load(lanes + 2 * stride + j);
+    const V l3 = Ops::load(lanes + 3 * stride + j);
+    for (std::size_t r = 0; r < rows; ++r) {
+      V acc[kLanes] = {l0, l1, l2, l3};
+      fold_columns<Ops, Op>(acc, x + r * n, cols, stride, j, p, n);
+      Ops::store(out + r * count + j, V(scale) * (((acc[0] + acc[1]) + acc[2]) + acc[3]));
+    }
+  }
+}
+
+template <class Ops>
+void prefix_partials_dispatch(Reduction op, const double* x, std::size_t p,
+                              const double* cols, std::size_t stride, std::size_t j_lo,
+                              std::size_t j_hi, double* lanes) noexcept {
+  if (op == Reduction::kDot) {
+    prefix_partials_range<Ops, Reduction::kDot>(x, p, cols, stride, j_lo, j_hi, lanes);
+  } else {
+    prefix_partials_range<Ops, Reduction::kSquaredDistance>(x, p, cols, stride, j_lo, j_hi,
+                                                            lanes);
+  }
+}
+
+template <class Ops>
+void finish_suffix_dispatch(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                            std::size_t p, const double* cols, const double* lanes,
+                            std::size_t stride, std::size_t count, double scale,
+                            double* out, std::size_t j_lo, std::size_t j_hi) noexcept {
+  if (op == Reduction::kDot) {
+    finish_suffix_range<Ops, Reduction::kDot>(x, rows, n, p, cols, lanes, stride, count,
+                                              scale, out, j_lo, j_hi);
+  } else {
+    finish_suffix_range<Ops, Reduction::kSquaredDistance>(x, rows, n, p, cols, lanes, stride,
+                                                          count, scale, out, j_lo, j_hi);
+  }
+}
+
 // --- deterministic exp -------------------------------------------------------
 //
 // exp(x) = 2^k * exp(r), k = round(x / ln2), r = x - k ln2 (Cody–Waite in
@@ -205,6 +328,20 @@ double squared_distance_unrolled(const double* a, const double* b,
   return reduce_lanes(lanes);
 }
 
+void prefix_partials_unrolled(Reduction op, const double* x, std::size_t p,
+                              const double* cols, std::size_t stride, std::size_t count,
+                              double* lanes) noexcept {
+  prefix_partials_dispatch<ScalarOps>(op, x, p, cols, stride, 0, count, lanes);
+}
+
+void finish_suffix_unrolled(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                            std::size_t p, const double* cols, const double* lanes,
+                            std::size_t stride, std::size_t count, double scale,
+                            double* out) noexcept {
+  finish_suffix_dispatch<ScalarOps>(op, x, rows, n, p, cols, lanes, stride, count, scale, out,
+                                    0, count);
+}
+
 }  // namespace detail
 
 namespace {
@@ -260,9 +397,36 @@ inline vdouble load(const double* p) noexcept {
   return v;
 }
 
+/// Four vectors per step, one per simd lane.
+struct VectorOps {
+  using V = vdouble;
+  static constexpr std::size_t kWidth = kLanes;
+  static vdouble load(const double* p) noexcept { return simd::load(p); }
+  static void store(double* p, vdouble v) noexcept { v.copy_to(p, stdx::element_aligned); }
+};
+
 }  // namespace
 
 namespace detail {
+
+void prefix_partials_vector(Reduction op, const double* x, std::size_t p,
+                            const double* cols, std::size_t stride, std::size_t count,
+                            double* lanes) noexcept {
+  const std::size_t c4 = count - count % kLanes;
+  prefix_partials_dispatch<VectorOps>(op, x, p, cols, stride, 0, c4, lanes);
+  prefix_partials_dispatch<ScalarOps>(op, x, p, cols, stride, c4, count, lanes);
+}
+
+void finish_suffix_vector(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                          std::size_t p, const double* cols, const double* lanes,
+                          std::size_t stride, std::size_t count, double scale,
+                          double* out) noexcept {
+  const std::size_t c4 = count - count % kLanes;
+  finish_suffix_dispatch<VectorOps>(op, x, rows, n, p, cols, lanes, stride, count, scale, out,
+                                    0, c4);
+  finish_suffix_dispatch<ScalarOps>(op, x, rows, n, p, cols, lanes, stride, count, scale, out,
+                                    c4, count);
+}
 
 double dot_vector(const double* a, const double* b, std::size_t n) noexcept {
   vdouble acc(0.0);
@@ -386,6 +550,19 @@ double dot_vector(const double* a, const double* b, std::size_t n) noexcept {
 double squared_distance_vector(const double* a, const double* b,
                                std::size_t n) noexcept {
   return squared_distance_unrolled(a, b, n);
+}
+
+void prefix_partials_vector(Reduction op, const double* x, std::size_t p,
+                            const double* cols, std::size_t stride, std::size_t count,
+                            double* lanes) noexcept {
+  prefix_partials_unrolled(op, x, p, cols, stride, count, lanes);
+}
+
+void finish_suffix_vector(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                          std::size_t p, const double* cols, const double* lanes,
+                          std::size_t stride, std::size_t count, double scale,
+                          double* out) noexcept {
+  finish_suffix_unrolled(op, x, rows, n, p, cols, lanes, stride, count, scale, out);
 }
 
 }  // namespace detail
@@ -529,6 +706,26 @@ void squared_distance_rows(std::span<double> out, std::span<const double> x,
 #endif
   for (std::size_t j = 0; j < out.size(); ++j) {
     out[j] = scale * detail::squared_distance_unrolled(x.data(), rows + j * stride, n);
+  }
+}
+
+void prefix_partials(Reduction op, std::span<const double> x, const double* cols,
+                     std::size_t stride, std::size_t count, double* lanes) noexcept {
+  if (enabled()) {
+    detail::prefix_partials_vector(op, x.data(), x.size(), cols, stride, count, lanes);
+  } else {
+    detail::prefix_partials_unrolled(op, x.data(), x.size(), cols, stride, count, lanes);
+  }
+}
+
+void finish_suffix(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                   std::size_t p, const double* cols, const double* lanes,
+                   std::size_t stride, std::size_t count, double scale,
+                   double* out) noexcept {
+  if (enabled()) {
+    detail::finish_suffix_vector(op, x, rows, n, p, cols, lanes, stride, count, scale, out);
+  } else {
+    detail::finish_suffix_unrolled(op, x, rows, n, p, cols, lanes, stride, count, scale, out);
   }
 }
 

@@ -117,6 +117,40 @@ void squared_distance_rows(std::span<double> out, std::span<const double> x,
                            const double* rows, std::size_t stride,
                            double scale) noexcept;
 
+/// The reduction a column-batched evaluation computes: dot() or
+/// squared_distance().
+enum class Reduction { kDot, kSquaredDistance };
+
+/// \brief Lane partials of `op` over a shared prefix, against `count`
+/// vectors stored by column (structure of arrays): element `i` of vector
+/// `j` is `cols[i * stride + j]`.
+///
+/// Writes `lanes[l * stride + j]` = lane `l`'s accumulator after folding
+/// elements `0 .. x.size()-1` of (x, vector j), starting from 0.0 — the
+/// exact value dot()/squared_distance() hold in that lane after those
+/// elements, because element `i` always lands in lane `i % 4` in ascending
+/// order. An empty `x` writes zeros. Hoisting a prefix that many queries
+/// share, then finishing each query with finish_suffix(), reproduces the
+/// full reduction bit for bit.
+void prefix_partials(Reduction op, std::span<const double> x, const double* cols,
+                     std::size_t stride, std::size_t count, double* lanes) noexcept;
+
+/// \brief Suffix continuation of prefix_partials() for `rows` queries of
+/// length `n`, stored row-major at `x`. For query `r` and vector `j <
+/// count`: start lane `l` at `lanes[l * stride + j]`, fold elements
+/// `p .. n-1` of (query r, vector j) into lane `i % 4` in ascending order,
+/// then `out[r * count + j] = scale * (((l0 + l1) + l2) + l3)`.
+///
+/// With `p == 0` and zero lanes this is dot_rows() / squared_distance_rows()
+/// over column-stored vectors; with lanes from prefix_partials() over the
+/// queries' shared first `p` elements it equals each full reduction, bit
+/// for bit. Each vector group's lanes are loaded once for all the rows.
+/// \pre p <= n; `cols` holds n columns; `out` holds rows * count doubles.
+void finish_suffix(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                   std::size_t p, const double* cols, const double* lanes,
+                   std::size_t stride, std::size_t count, double scale,
+                   double* out) noexcept;
+
 /// \brief Deterministic exponential: `exp(x)` to within ~2 ulp of libm.
 ///
 /// Not std::exp — a fixed Cody–Waite range reduction plus degree-13 Horner
@@ -166,6 +200,22 @@ namespace detail {
                                                std::size_t n) noexcept;
 [[nodiscard]] double squared_distance_vector(const double* a, const double* b,
                                              std::size_t n) noexcept;
+
+void prefix_partials_unrolled(Reduction op, const double* x, std::size_t p,
+                              const double* cols, std::size_t stride, std::size_t count,
+                              double* lanes) noexcept;
+void prefix_partials_vector(Reduction op, const double* x, std::size_t p,
+                            const double* cols, std::size_t stride, std::size_t count,
+                            double* lanes) noexcept;
+
+void finish_suffix_unrolled(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                            std::size_t p, const double* cols, const double* lanes,
+                            std::size_t stride, std::size_t count, double scale,
+                            double* out) noexcept;
+void finish_suffix_vector(Reduction op, const double* x, std::size_t rows, std::size_t n,
+                          std::size_t p, const double* cols, const double* lanes,
+                          std::size_t stride, std::size_t count, double scale,
+                          double* out) noexcept;
 
 }  // namespace detail
 

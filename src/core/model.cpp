@@ -1,9 +1,11 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/log.hpp"
 #include "ml/dataset.hpp"
@@ -90,6 +92,7 @@ common::Result<FrequencyModel> FrequencyModel::train(
   model.energy_->fit(x, y_energy);
   log_fit("energy", *model.energy_);
 
+  model.init_default_grid();
   return model;
 }
 
@@ -171,34 +174,15 @@ std::vector<PredictedPoint> FrequencyModel::predict_all(
   return out;
 }
 
-std::vector<PredictedPoint> FrequencyModel::predict_pareto(
-    const clfront::StaticFeatures& features,
+FrequencyModel::EvalGrid FrequencyModel::make_grid(
     std::span<const gpusim::FrequencyConfig> configs) const {
   // Model only the three upper memory clocks (mem-L is excluded, §4.5).
-  std::vector<gpusim::FrequencyConfig> modeled;
-  modeled.reserve(configs.size());
+  EvalGrid grid;
+  grid.configs.reserve(configs.size() + 1);
   for (const auto& c : configs) {
-    if (!is_mem_L(domain_, c.mem_mhz)) modeled.push_back(c);
+    if (!is_mem_L(domain_, c.mem_mhz)) grid.configs.push_back(c);
   }
-  const auto predictions = predict_all(features, modeled);
-
-  // Pareto set of the predictions: the O(n log n) skyline computes the same
-  // set as the paper's Algorithm 1 (see pareto_test); re-sorting by id
-  // restores the naive algorithm's input-order output, keeping the result
-  // byte-identical to the O(n^2) path.
-  std::vector<pareto::Point> points;
-  points.reserve(predictions.size());
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    points.push_back({predictions[i].speedup, predictions[i].energy,
-                      static_cast<std::uint32_t>(i)});
-  }
-  auto front = pareto::pareto_set_fast(points);
-  std::sort(front.begin(), front.end(),
-            [](const pareto::Point& a, const pareto::Point& b) { return a.id < b.id; });
-
-  std::vector<PredictedPoint> out;
-  out.reserve(front.size() + 1);
-  for (const auto& p : front) out.push_back(predictions[p.id]);
+  grid.modeled = grid.configs.size();
 
   // Heuristic: append the highest-core mem-L configuration (it is dominant
   // in 11 of 12 of the paper's codes). Prefer one present in `configs`.
@@ -209,18 +193,55 @@ std::vector<PredictedPoint> FrequencyModel::predict_pareto(
       if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
     }
     if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
-    const auto w = assembler_.assemble(features, best);
-    out.push_back({best, speedup_->predict_one(w), energy_->predict_one(w), true});
+    grid.configs.push_back(best);
+  }
+  return grid;
+}
+
+void FrequencyModel::init_default_grid() {
+  default_grid_ = make_grid(
+      domain_.sample_configs(training_configs_.empty() ? 40 : training_configs_.size()));
+}
+
+std::vector<PredictedPoint> FrequencyModel::predict_pareto(
+    const clfront::StaticFeatures& features, const EvalGrid& grid) const {
+  // One batch over every row, the heuristic one included: batch rows equal
+  // predict_one bit for bit, and the rows share the kernel's static columns.
+  auto predictions = predict_all(features, grid.configs);
+
+  // Pareto set of the modeled predictions: the O(n log n) skyline computes
+  // the same set as the paper's Algorithm 1 (see pareto_test); re-sorting
+  // by id restores the naive algorithm's input-order output, keeping the
+  // result byte-identical to the O(n^2) path.
+  std::vector<pareto::Point> points;
+  points.reserve(grid.modeled);
+  for (std::size_t i = 0; i < grid.modeled; ++i) {
+    points.push_back({predictions[i].speedup, predictions[i].energy,
+                      static_cast<std::uint32_t>(i)});
+  }
+  auto front = pareto::pareto_set_fast(points);
+  std::sort(front.begin(), front.end(),
+            [](const pareto::Point& a, const pareto::Point& b) { return a.id < b.id; });
+
+  std::vector<PredictedPoint> out;
+  out.reserve(front.size() + 1);
+  for (const auto& p : front) out.push_back(predictions[p.id]);
+  if (grid.configs.size() > grid.modeled) {
+    out.push_back(predictions[grid.modeled]);
+    out.back().heuristic = true;
   }
   return out;
 }
 
 std::vector<PredictedPoint> FrequencyModel::predict_pareto(
+    const clfront::StaticFeatures& features,
+    std::span<const gpusim::FrequencyConfig> configs) const {
+  return predict_pareto(features, make_grid(configs));
+}
+
+std::vector<PredictedPoint> FrequencyModel::predict_pareto(
     const clfront::StaticFeatures& features) const {
-  const auto configs = domain_.sample_configs(training_configs_.empty()
-                                                  ? 40
-                                                  : training_configs_.size());
-  return predict_pareto(features, configs);
+  return predict_pareto(features, default_grid_);
 }
 
 std::string FrequencyModel::serialize() const {
@@ -298,6 +319,20 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   if (!speedup.ok()) return speedup.error();
   auto energy = ml::deserialize_regressor(energy_text);
   if (!energy.ok()) return energy.error();
+  // Every regressor family rejects an input of the wrong width with
+  // std::invalid_argument; a kFeatureDim-wide probe turns a section fitted
+  // on another width into a parse error here instead of a throw at
+  // prediction time.
+  const std::array<double, kFeatureDim> probe{};
+  for (const auto* section : {speedup.value().get(), energy.value().get()}) {
+    try {
+      (void)section->predict_one(probe);
+    } catch (const std::invalid_argument& e) {
+      return common::parse_error(std::string("FrequencyModel: regressor ") +
+                                 section->name() + " does not take " +
+                                 std::to_string(kFeatureDim) + " features: " + e.what());
+    }
+  }
 
   // The domain is reconstructed from the device name (only the two known
   // simulated devices are supported).
@@ -312,6 +347,7 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   model.energy_key_ = model.energy_->name();
   model.training_configs_ = std::move(configs);
   model.training_samples_ = n_samples;
+  model.init_default_grid();
   return model;
 }
 

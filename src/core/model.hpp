@@ -98,7 +98,8 @@ class FrequencyModel {
       const clfront::StaticFeatures& features,
       std::span<const gpusim::FrequencyConfig> configs) const;
 
-  /// Same, over the default evaluation sampling of the training domain.
+  /// Same, over the default evaluation sampling of the training domain
+  /// (built once per model, heuristic row included).
   [[nodiscard]] std::vector<PredictedPoint> predict_pareto(
       const clfront::StaticFeatures& features) const;
 
@@ -132,7 +133,8 @@ class FrequencyModel {
   // --- persistence -----------------------------------------------------------
   /// Version 2 format: header + training metadata + two polymorphic
   /// regressor sections (ml::serialize_regressor envelopes). Any registered
-  /// regressor family round-trips.
+  /// regressor family round-trips; deserialize rejects a section fitted on
+  /// another input width than kFeatureDim with a parse error.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static common::Result<FrequencyModel> deserialize(const std::string& text);
   [[nodiscard]] common::Status save(const std::string& path) const;
@@ -142,6 +144,19 @@ class FrequencyModel {
   FrequencyModel(gpusim::FrequencyDomain domain, FeatureAssembler assembler)
       : domain_(std::move(domain)), assembler_(assembler) {}
 
+  /// The rows one Pareto prediction evaluates: the modeled configurations
+  /// (mem-L excluded), then the mem-L heuristic configuration when the
+  /// domain has one. Both go through one batch prediction.
+  struct EvalGrid {
+    std::vector<gpusim::FrequencyConfig> configs;
+    std::size_t modeled = 0;  ///< configs[modeled], if present, is the heuristic row
+  };
+  [[nodiscard]] EvalGrid make_grid(std::span<const gpusim::FrequencyConfig> configs) const;
+  [[nodiscard]] std::vector<PredictedPoint> predict_pareto(
+      const clfront::StaticFeatures& features, const EvalGrid& grid) const;
+  /// Build default_grid_ from the domain and the training-config count.
+  void init_default_grid();
+
   gpusim::FrequencyDomain domain_;
   FeatureAssembler assembler_;
   std::string speedup_key_ = "svr-linear";
@@ -150,6 +165,7 @@ class FrequencyModel {
   std::unique_ptr<ml::Regressor> energy_;
   std::vector<gpusim::FrequencyConfig> training_configs_;
   std::size_t training_samples_ = 0;
+  EvalGrid default_grid_;
 };
 
 }  // namespace repro::core

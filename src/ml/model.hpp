@@ -24,7 +24,8 @@ class Regressor {
   /// Fit on training data; y.size() must equal x.rows().
   virtual void fit(const Matrix& x, const std::vector<double>& y) = 0;
 
-  /// Predict a single sample (x.size() == num_features at fit time).
+  /// Predict a single sample. Every family throws std::invalid_argument
+  /// unless x.size() is the number of features at fit time.
   [[nodiscard]] virtual double predict_one(std::span<const double> x) const = 0;
 
   /// Registry key of this model ("svr-linear", "ols", "lasso", ...).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -44,6 +45,44 @@ double decision(const KernelFunction& kernel, const Matrix& sv,
   return acc;
 }
 
+/// Rows per finish_suffix call in the batched decision function: each
+/// support-vector group's lane partials are loaded once per kRowBlock rows.
+constexpr std::size_t kRowBlock = 8;
+
+/// The reduction behind a kernel: RBF reduces a squared distance, the
+/// linear and polynomial kernels a dot product.
+common::simd::Reduction reduction_of(KernelType type) noexcept {
+  return type == KernelType::kRbf ? common::simd::Reduction::kSquaredDistance
+                                  : common::simd::Reduction::kDot;
+}
+
+/// k(x_r, sv_j) for `rows` consecutive rows of `x` (row-major, n columns)
+/// and the `len` support vectors whose columns start at `cols`, continuing
+/// from their shared-prefix lane partials at `lanes` (both with stride
+/// n_sv); out[r * len + j]. Mirrors evaluate_row step for step — the same
+/// reduction, scale, exp_batch and pow — so each value is bit-identical to
+/// `kernel(x_r, sv_j)`.
+void evaluate_suffix(const KernelFunction& kernel, const double* x, std::size_t rows,
+                     std::size_t n, std::size_t p, const double* cols, const double* lanes,
+                     std::size_t n_sv, std::size_t len, std::span<double> out) noexcept {
+  const std::span<double> block = out.first(rows * len);
+  const double scale = kernel.type == KernelType::kRbf ? -kernel.gamma : 1.0;
+  common::simd::finish_suffix(reduction_of(kernel.type), x, rows, n, p, cols, lanes, n_sv, len,
+                              scale, block.data());
+  if (kernel.type == KernelType::kRbf) {
+    common::simd::exp_batch(block, block);
+  } else if (kernel.type == KernelType::kPolynomial) {
+    for (double& v : block) v = std::pow(kernel.gamma * v + kernel.coef0, kernel.degree);
+  }
+}
+
+void check_width(std::size_t got, std::size_t want, const char* where) {
+  if (got != want) {
+    throw std::invalid_argument(std::string(where) + ": input width " + std::to_string(got) +
+                                " != fitted width " + std::to_string(want));
+  }
+}
+
 /// Dense symmetric kernel cache over the n training samples, stored as
 /// float to halve memory (n ≈ 4240 in the paper's training set -> ~72 MB).
 class KernelCache {
@@ -62,6 +101,18 @@ class KernelCache {
 };
 
 }  // namespace
+
+std::size_t shared_column_prefix(const Matrix& x) noexcept {
+  if (x.rows() == 0) return 0;
+  const std::size_t d = x.cols();
+  for (std::size_t c = 0; c < d; ++c) {
+    const double* first = x.row(0).data() + c;
+    for (std::size_t r = 1; r < x.rows(); ++r) {
+      if (std::memcmp(x.row(r).data() + c, first, sizeof(double)) != 0) return c;
+    }
+  }
+  return d;
+}
 
 std::vector<float> build_kernel_matrix_f32(const Matrix& x, const KernelFunction& kernel) {
   // Parallel over kCacheBlock-row blocks of the upper triangle: the block
@@ -308,7 +359,7 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   for (std::size_t i = 0; i < n; ++i) {
     if (beta[i] - beta[i + n] != 0.0) ++num_sv;
   }
-  sv_ = Matrix(0, 0);
+  sv_ = Matrix(0, x.cols());
   sv_.reserve_rows(num_sv, x.cols());
   sv_coef_.clear();
   sv_coef_.reserve(num_sv);
@@ -320,41 +371,69 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
     }
   }
 
+  build_columns();
   info_.iterations = iter;
   info_.converged = converged;
   info_.support_vectors = sv_.rows();
   fitted_ = true;
 }
 
+void Svr::build_columns() {
+  const std::size_t n_sv = sv_.rows();
+  sv_cols_.assign(n_sv * sv_.cols(), 0.0);
+  for (std::size_t j = 0; j < n_sv; ++j) {
+    for (std::size_t c = 0; c < sv_.cols(); ++c) sv_cols_[c * n_sv + j] = sv_.at(j, c);
+  }
+}
+
 double Svr::predict_one(std::span<const double> x) const {
   if (!fitted_) throw std::logic_error("Svr::predict_one before fit");
+  check_width(x.size(), sv_.cols(), "Svr::predict_one");
   std::array<double, kSvBlock> buf;
   return decision(params_.kernel, sv_, sv_coef_, b_, x, buf);
 }
 
 std::vector<double> Svr::predict(const Matrix& x) const {
   if (!fitted_) throw std::logic_error("Svr::predict before fit");
+  if (x.rows() == 0) return {};
+  check_width(x.cols(), sv_.cols(), "Svr::predict");
   const std::size_t n_sv = sv_.rows();
+  const std::size_t d = x.cols();
+  // Columns every row shares (a kernel's static features across a
+  // frequency grid) are reduced once per support vector. Element i always
+  // lands in lane i % 4 in ascending order, so finishing each row from
+  // these lane partials repeats exactly the operations of predict_one.
+  const std::size_t p = shared_column_prefix(x);
+  std::vector<double> lanes(common::simd::kLanes * n_sv);
+  common::simd::prefix_partials(reduction_of(params_.kernel.type), x.row(0).first(p),
+                                sv_cols_.data(), n_sv, n_sv, lanes.data());
+
   std::vector<double> out(x.rows(), b_);
-  // One blocked pass over (test rows x support vectors) instead of x.rows()
-  // independent predict_one loops: the support-vector block stays hot in
-  // cache across the rows of a block. Per row the blocks accumulate in the
-  // same ascending order as decision() — bit-identical to predict_one, and
+  // Blocked over (support-vector block x row block): the block's suffix
+  // columns and lane partials stay hot in cache across the rows. Per row
+  // the blocks accumulate in the same ascending order as decision() —
   // deterministic under threading because rows write disjoint slots.
   const auto body = [&](std::size_t lo, std::size_t hi) {
-    std::vector<double> buf(kSvBlock);
+    std::array<double, kRowBlock * kSvBlock> buf;
     for (std::size_t sb = 0; sb < n_sv; sb += kSvBlock) {
       const std::size_t len = std::min(kSvBlock, n_sv - sb);
-      for (std::size_t r = lo; r < hi; ++r) {
-        params_.kernel.evaluate_row(x.row(r), sv_, sb, sb + len, buf);
-        out[r] += common::simd::dot({sv_coef_.data() + sb, len}, {buf.data(), len});
+      for (std::size_t r0 = lo; r0 < hi; r0 += kRowBlock) {
+        const std::size_t rows = std::min(kRowBlock, hi - r0);
+        evaluate_suffix(params_.kernel, x.row(r0).data(), rows, d, p, sv_cols_.data() + sb,
+                        lanes.data() + sb, n_sv, len, buf);
+        for (std::size_t r = 0; r < rows; ++r) {
+          out[r0 + r] +=
+              common::simd::dot({sv_coef_.data() + sb, len}, {buf.data() + r * len, len});
+        }
       }
     }
   };
-  // rows × support vectors is the kernel-evaluation count; under ~2^15 the
-  // whole pass is microseconds and a fan-out only adds latch overhead. Rows
-  // accumulate in the same block order either way — bit-identical.
-  if (x.rows() * n_sv < 32768) {
+  // Work in column terms: the shared prefix once, then each row's suffix
+  // plus one slot for its reduction and kernel tail. Under the equivalent
+  // of ~2^15 full evaluations a fan-out only adds a cross-thread handoff.
+  // Rows accumulate in the same block order either way — bit-identical.
+  const std::size_t work = n_sv * (p + x.rows() * (d - p + 1));
+  if (work < 32768 * (d + 1)) {
     body(0, x.rows());
   } else {
     common::ThreadPool::global().parallel_for(0, x.rows(), 32, body);
@@ -410,6 +489,7 @@ common::Result<Svr> Svr::deserialize(const std::string& text) {
 
   Svr model(params);
   model.b_ = b;
+  model.sv_ = Matrix(0, dim);
   model.sv_.reserve_rows(n_sv, dim);
   model.sv_coef_.reserve(n_sv);
   std::vector<double> row(dim);
@@ -422,6 +502,7 @@ common::Result<Svr> Svr::deserialize(const std::string& text) {
     model.sv_coef_.push_back(coef);
     model.sv_.push_row(row);
   }
+  model.build_columns();
   model.fitted_ = true;
   model.info_.support_vectors = n_sv;
   return model;

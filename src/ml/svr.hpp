@@ -31,6 +31,14 @@ namespace repro::ml {
 [[nodiscard]] std::vector<float> build_kernel_matrix_f32(const Matrix& x,
                                                          const KernelFunction& kernel);
 
+/// \brief Length of the longest column prefix that every row of `x` holds
+/// bit for bit (memcmp, so +0.0 and -0.0 never count as shared). A single
+/// row shares all its columns; an empty matrix shares none.
+///
+/// Svr::predict reduces this prefix once per support vector: across a
+/// frequency grid it is the kernel's static features.
+[[nodiscard]] std::size_t shared_column_prefix(const Matrix& x) noexcept;
+
 struct SvrParams {
   KernelFunction kernel = KernelFunction::linear();
   double c = 1000.0;       // box constraint (paper: C = 1000)
@@ -59,11 +67,16 @@ class Svr final : public Regressor {
   explicit Svr(SvrParams params) : params_(params) {}
 
   void fit(const Matrix& x, const std::vector<double>& y) override;
+  /// \throws std::invalid_argument when x.size() is not the fitted width.
   [[nodiscard]] double predict_one(std::span<const double> x) const override;
-  /// Batch override: evaluates every row of `x` against the support-vector
-  /// matrix in one blocked pass (parallelized over rows). Per row, kernel
-  /// contributions accumulate in support-vector order, so the result is
-  /// bit-identical to predict_one at any thread count.
+  /// Batch override: evaluates every row of `x` against the support vectors
+  /// in one blocked pass. The longest column prefix that every row shares
+  /// bit for bit (a kernel's static features across a frequency grid) is
+  /// reduced once per support vector; each row then folds in only its
+  /// remaining columns. Per row, kernel contributions accumulate in
+  /// support-vector order, so the result is bit-identical to predict_one
+  /// at any thread count.
+  /// \throws std::invalid_argument when x.cols() is not the fitted width.
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
@@ -80,7 +93,11 @@ class Svr final : public Regressor {
  private:
   SvrParams params_;
   SvrTrainingInfo info_;
-  Matrix sv_;                      // support vectors, one per row
+  /// Rebuild sv_cols_ from sv_ (after fit and deserialize).
+  void build_columns();
+
+  Matrix sv_;                      // support vectors, one per row; cols() = input width
+  std::vector<double> sv_cols_;    // sv_ by column: column c at [c * rows, (c + 1) * rows)
   std::vector<double> sv_coef_;    // α_i − α_i* per support vector
   double b_ = 0.0;
   bool fitted_ = false;

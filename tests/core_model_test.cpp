@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "benchgen/benchgen.hpp"
 #include "core/features.hpp"
 #include "core/model.hpp"
 #include "gpusim/simulator.hpp"
 #include "kernels/kernels.hpp"
+#include "ml/registry.hpp"
+#include "ml/svr.hpp"
+#include "ml/synthetic.hpp"
 #include "pareto/pareto.hpp"
 
 namespace rco = repro::core;
@@ -180,6 +186,44 @@ TEST(FrequencyModelTest, ParetoSubsetOfRequestedConfigs) {
   }
 }
 
+TEST(FrequencyModelTest, GridPredictionsMatchPerConfigBitForBit) {
+  // The default model (linear-SVR speedup, RBF-SVR energy) predicts a grid
+  // in one batch whose rows share the kernel's static columns. Every point
+  // must equal the single-configuration predictions bit for bit — the
+  // mem-L heuristic row included — and the default grid, built once per
+  // model, must give what an explicit call over the same sampling gives.
+  const auto& model = trained_model();
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  const auto configs = sim().freq().sample_configs(40);
+  for (const char* name : {"Convolution", "MD", "k-NN"}) {
+    const auto f = repro::kernels::benchmark_features(*repro::kernels::find_benchmark(name))
+                       .value();
+    const auto all = model.predict_all(f, configs);
+    ASSERT_EQ(all.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_TRUE(same(all[i].speedup, model.predict_speedup(f, configs[i]))) << name << i;
+      EXPECT_TRUE(same(all[i].energy, model.predict_energy(f, configs[i]))) << name << i;
+    }
+
+    const auto pareto = model.predict_pareto(f);
+    ASSERT_FALSE(pareto.empty());
+    EXPECT_TRUE(pareto.back().heuristic);
+    for (const auto& p : pareto) {
+      EXPECT_TRUE(same(p.speedup, model.predict_speedup(f, p.config))) << name;
+      EXPECT_TRUE(same(p.energy, model.predict_energy(f, p.config))) << name;
+    }
+    const auto sampled = model.domain().sample_configs(model.training_configs().size());
+    const auto explicit_pareto = model.predict_pareto(f, sampled);
+    ASSERT_EQ(explicit_pareto.size(), pareto.size()) << name;
+    for (std::size_t i = 0; i < pareto.size(); ++i) {
+      EXPECT_EQ(explicit_pareto[i].config, pareto[i].config) << name << i;
+      EXPECT_EQ(explicit_pareto[i].heuristic, pareto[i].heuristic) << name << i;
+      EXPECT_TRUE(same(explicit_pareto[i].speedup, pareto[i].speedup)) << name << i;
+      EXPECT_TRUE(same(explicit_pareto[i].energy, pareto[i].energy)) << name << i;
+    }
+  }
+}
+
 // --- persistence -------------------------------------------------------------------------
 
 TEST(FrequencyModelTest, SerializeRoundTripPreservesPredictions) {
@@ -226,6 +270,35 @@ TEST(FrequencyModelTest, TrainOrLoadUsesCache) {
 TEST(FrequencyModelTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(rco::FrequencyModel::deserialize("nonsense").ok());
   EXPECT_FALSE(rco::FrequencyModel::deserialize("gpufreq_model v1\ntruncated").ok());
+}
+
+TEST(FrequencyModelTest, DeserializeRejectsRegressorOfAnotherWidth) {
+  // A well-formed model file whose two SVR sections were fitted on 8
+  // features, not kFeatureDim: loading must fail with a parse error rather
+  // than hand out a model whose predictions read past each 8-wide row.
+  repro::ml::Matrix x;
+  std::vector<double> y;
+  repro::ml::make_synthetic_regression(40, 8, 0x8A11, x, y);
+  repro::ml::Svr narrow;
+  narrow.fit(x, y);
+
+  const std::string text = trained_model().serialize();
+  const auto cut = text.find("=== speedup ===\n");
+  ASSERT_NE(cut, std::string::npos);
+  const std::string head = text.substr(0, cut);
+  const std::string forged = head + "=== speedup ===\n" +
+                             repro::ml::serialize_regressor(narrow) + "=== energy ===\n" +
+                             repro::ml::serialize_regressor(narrow);
+  const auto loaded = rco::FrequencyModel::deserialize(forged);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, repro::common::ErrorCode::kParseError)
+      << loaded.error().to_string();
+  // The same splice with the model's own sections still loads.
+  const std::string own = head + "=== speedup ===\n" +
+                          repro::ml::serialize_regressor(trained_model().speedup_model()) +
+                          "=== energy ===\n" +
+                          repro::ml::serialize_regressor(trained_model().energy_model());
+  EXPECT_TRUE(rco::FrequencyModel::deserialize(own).ok());
 }
 
 // --- ablation hook -------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -94,6 +95,64 @@ TEST(DeterminismTest, SvrBatchPredictMatchesPredictOneBitForBit) {
     rc::ThreadPool::set_global_threads(threads);
     const auto batch = svr.predict(x_test);
     EXPECT_TRUE(bitwise_equal(batch, reference)) << "threads=" << threads;
+  }
+}
+
+TEST(DeterminismTest, SharedPrefixSvrPredictMatchesPredictOneBitForBit) {
+  // A frequency grid: 34 rows that share their first p columns bit for bit
+  // (a kernel's static features) and differ in the rest. Svr::predict
+  // reduces the shared prefix once per support vector; every row must
+  // still equal predict_one exactly, for every kernel family, every prefix
+  // length and every thread count. A 2048-row grid is large enough to take
+  // the parallel path.
+  PoolGuard guard;
+  constexpr std::size_t kDim = 12;
+  constexpr std::size_t kRows = 34;
+  rm::Matrix x;
+  std::vector<double> y;
+  make_dataset(150, kDim, 0x5A4ED, x, y);
+
+  rm::Matrix varied;
+  std::vector<double> unused;
+  make_dataset(2048, kDim, 0x6121D, varied, unused);
+  const auto grid = [&](std::size_t p, std::size_t rows) {
+    rm::Matrix g(rows, kDim);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < kDim; ++c) g(r, c) = c < p ? varied(0, c) : varied(r, c);
+    }
+    return g;
+  };
+  std::vector<std::pair<std::string, rm::Matrix>> grids;
+  for (std::size_t p : {std::size_t{0}, std::size_t{1}, std::size_t{5}, kDim - 1, kDim}) {
+    grids.emplace_back("p=" + std::to_string(p), grid(p, kRows));
+    EXPECT_EQ(rm::shared_column_prefix(grids.back().second), p);
+  }
+  // +0.0 and -0.0 compare equal but differ in bits: column 3 must end the
+  // shared prefix there, not count as shared.
+  rm::Matrix signed_zero = grid(kDim - 2, kRows);
+  for (std::size_t r = 0; r < kRows; ++r) signed_zero(r, 3) = r % 2 == 0 ? 0.0 : -0.0;
+  EXPECT_EQ(rm::shared_column_prefix(signed_zero), 3u);
+  grids.emplace_back("signed zero", std::move(signed_zero));
+  grids.emplace_back("p=10 x 2048 rows", grid(kDim - 2, 2048));
+
+  for (const auto& kernel : {rm::KernelFunction::linear(), rm::KernelFunction::rbf(0.5),
+                             rm::KernelFunction::polynomial(2, 0.5, 1.0)}) {
+    rm::SvrParams params;
+    params.kernel = kernel;
+    params.c = 10.0;
+    params.max_iter = 50'000;
+    rm::Svr svr(params);
+    svr.fit(x, y);
+    ASSERT_GT(svr.num_support_vectors(), 64u) << "need more than one support-vector block";
+    for (const auto& [label, g] : grids) {
+      std::vector<double> reference;
+      for (std::size_t r = 0; r < g.rows(); ++r) reference.push_back(svr.predict_one(g.row(r)));
+      for (std::size_t threads : kThreadCounts) {
+        rc::ThreadPool::set_global_threads(threads);
+        EXPECT_TRUE(bitwise_equal(svr.predict(g), reference))
+            << svr.name() << ' ' << label << " threads=" << threads;
+      }
+    }
   }
 }
 

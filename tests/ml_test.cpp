@@ -385,6 +385,26 @@ TEST(SvrTest, EmptyTrainingSetThrows) {
   EXPECT_THROW(svr.fit(x, {}), std::invalid_argument);
 }
 
+TEST(SvrTest, RejectsInputOfAnotherWidth) {
+  // Fitted on two features: a wider or narrower input must throw instead of
+  // reading past the support-vector rows — fitted and deserialized alike.
+  const auto d = linear_dataset(60, 0.0, 53);
+  rm::Svr svr;
+  svr.fit(d.x, d.y);
+  const auto restored = rm::Svr::deserialize(svr.serialize());
+  ASSERT_TRUE(restored.ok());
+  const std::vector<double> wide{0.1, 0.2, 0.3};
+  const std::vector<double> narrow{0.1};
+  const rm::Svr& fitted = svr;
+  for (const rm::Svr* model : {&fitted, &restored.value()}) {
+    EXPECT_THROW((void)model->predict_one(wide), std::invalid_argument);
+    EXPECT_THROW((void)model->predict_one(narrow), std::invalid_argument);
+    EXPECT_THROW((void)model->predict(rm::Matrix(4, 3, 0.5)), std::invalid_argument);
+    EXPECT_THROW((void)model->predict(rm::Matrix(4, 1, 0.5)), std::invalid_argument);
+    EXPECT_TRUE(model->predict(rm::Matrix(0, 0)).empty());
+  }
+}
+
 TEST(SvrTest, SerializeRoundTripPreservesPredictions) {
   const auto d = nonlinear_dataset(120, 53);
   rm::SvrParams params;

@@ -97,6 +97,88 @@ TEST(SimdTest, UnalignedOperandsMatch) {
   }
 }
 
+TEST(SimdTest, PrefixPartialsPlusSuffixEqualFullReductionAtEverySplit) {
+  // Seven column-stored vectors (one 4-wide vector group plus a 3-vector
+  // scalar tail in the vector backend) and three query rows that share
+  // their first p elements. For every length n = 1..13 and every split
+  // p = 0..n, lane partials over the shared prefix finished over each
+  // row's suffix must equal the full dot / squared_distance of that row
+  // against each vector — on both backends, with aligned and unaligned
+  // (offset by one) operands.
+  SimdGuard guard;
+  constexpr std::size_t kVectors = 7;
+  constexpr std::size_t kRows = 3;
+  constexpr double kScale = -0.5;  // the RBF pre-pass scale
+  using PrefixFn = void (*)(rs::Reduction, const double*, std::size_t, const double*,
+                            std::size_t, std::size_t, double*) noexcept;
+  using FinishFn = void (*)(rs::Reduction, const double*, std::size_t, std::size_t,
+                            std::size_t, const double*, const double*, std::size_t,
+                            std::size_t, double, double*) noexcept;
+  const struct {
+    const char* name;
+    PrefixFn prefix;
+    FinishFn finish;
+  } backends[] = {
+      {"unrolled", rs::detail::prefix_partials_unrolled, rs::detail::finish_suffix_unrolled},
+      {"vector", rs::detail::prefix_partials_vector, rs::detail::finish_suffix_vector},
+  };
+  for (std::size_t offset : {0u, 1u}) {
+    for (std::size_t n = 1; n <= 13; ++n) {
+      const auto col_store = random_vector(n * kVectors + offset, 0x9B + n);
+      const double* cols = col_store.data() + offset;
+      std::vector<std::vector<double>> vectors(kVectors, std::vector<double>(n));
+      for (std::size_t j = 0; j < kVectors; ++j) {
+        for (std::size_t i = 0; i < n; ++i) vectors[j][i] = cols[i * kVectors + j];
+      }
+      for (std::size_t p = 0; p <= n; ++p) {
+        auto x_store = random_vector(kRows * n + offset, 0x9A + n);
+        double* x = x_store.data() + offset;
+        for (std::size_t r = 1; r < kRows; ++r) {
+          for (std::size_t i = 0; i < p; ++i) x[r * n + i] = x[i];
+        }
+        const auto full = [&](bool dot, std::size_t r, std::size_t j) {
+          return dot ? rs::detail::dot_unrolled(x + r * n, vectors[j].data(), n)
+                     : kScale * rs::detail::squared_distance_unrolled(x + r * n,
+                                                                      vectors[j].data(), n);
+        };
+        for (const auto& backend : backends) {
+          for (const auto op : {rs::Reduction::kDot, rs::Reduction::kSquaredDistance}) {
+            const bool dot = op == rs::Reduction::kDot;
+            std::vector<double> lanes(rs::kLanes * kVectors);
+            std::vector<double> out(kRows * kVectors);
+            backend.prefix(op, x, p, cols, kVectors, kVectors, lanes.data());
+            backend.finish(op, x, kRows, n, p, cols, lanes.data(), kVectors, kVectors,
+                           dot ? 1.0 : kScale, out.data());
+            for (std::size_t r = 0; r < kRows; ++r) {
+              for (std::size_t j = 0; j < kVectors; ++j) {
+                EXPECT_TRUE(bits_equal(out[r * kVectors + j], full(dot, r, j)))
+                    << backend.name << (dot ? " dot" : " sqd") << " n=" << n << " p=" << p
+                    << " r=" << r << " j=" << j << " offset=" << offset;
+              }
+            }
+          }
+        }
+        // The dispatching entry points agree with the pinned backends.
+        for (bool on : {true, false}) {
+          rs::set_enabled(on);
+          std::vector<double> lanes(rs::kLanes * kVectors);
+          std::vector<double> out(kRows * kVectors);
+          rs::prefix_partials(rs::Reduction::kSquaredDistance, {x, p}, cols, kVectors,
+                              kVectors, lanes.data());
+          rs::finish_suffix(rs::Reduction::kSquaredDistance, x, kRows, n, p, cols,
+                            lanes.data(), kVectors, kVectors, kScale, out.data());
+          for (std::size_t r = 0; r < kRows; ++r) {
+            for (std::size_t j = 0; j < kVectors; ++j) {
+              EXPECT_TRUE(bits_equal(out[r * kVectors + j], full(false, r, j)))
+                  << "dispatch simd=" << on << " n=" << n << " p=" << p << " r=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdTest, RuntimeToggleNeverChangesDispatchedResults) {
   SimdGuard guard;
   for (std::size_t n : kLengths) {
