@@ -92,7 +92,6 @@ common::Result<FrequencyModel> FrequencyModel::train(
   model.energy_->fit(x, y_energy);
   log_fit("energy", *model.energy_);
 
-  model.init_default_grid();
   return model;
 }
 
@@ -174,15 +173,16 @@ std::vector<PredictedPoint> FrequencyModel::predict_all(
   return out;
 }
 
-FrequencyModel::EvalGrid FrequencyModel::make_grid(
+std::vector<PredictedPoint> FrequencyModel::predict_pareto(
+    const clfront::StaticFeatures& features,
     std::span<const gpusim::FrequencyConfig> configs) const {
   // Model only the three upper memory clocks (mem-L is excluded, §4.5).
-  EvalGrid grid;
-  grid.configs.reserve(configs.size() + 1);
+  std::vector<gpusim::FrequencyConfig> rows;
+  rows.reserve(configs.size() + 1);
   for (const auto& c : configs) {
-    if (!is_mem_L(domain_, c.mem_mhz)) grid.configs.push_back(c);
+    if (!is_mem_L(domain_, c.mem_mhz)) rows.push_back(c);
   }
-  grid.modeled = grid.configs.size();
+  const std::size_t modeled = rows.size();
 
   // Heuristic: append the highest-core mem-L configuration (it is dominant
   // in 11 of 12 of the paper's codes). Prefer one present in `configs`.
@@ -193,29 +193,20 @@ FrequencyModel::EvalGrid FrequencyModel::make_grid(
       if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
     }
     if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
-    grid.configs.push_back(best);
+    rows.push_back(best);
   }
-  return grid;
-}
 
-void FrequencyModel::init_default_grid() {
-  default_grid_ = make_grid(
-      domain_.sample_configs(training_configs_.empty() ? 40 : training_configs_.size()));
-}
-
-std::vector<PredictedPoint> FrequencyModel::predict_pareto(
-    const clfront::StaticFeatures& features, const EvalGrid& grid) const {
   // One batch over every row, the heuristic one included: batch rows equal
   // predict_one bit for bit, and the rows share the kernel's static columns.
-  auto predictions = predict_all(features, grid.configs);
+  auto predictions = predict_all(features, rows);
 
   // Pareto set of the modeled predictions: the O(n log n) skyline computes
   // the same set as the paper's Algorithm 1 (see pareto_test); re-sorting
   // by id restores the naive algorithm's input-order output, keeping the
   // result byte-identical to the O(n^2) path.
   std::vector<pareto::Point> points;
-  points.reserve(grid.modeled);
-  for (std::size_t i = 0; i < grid.modeled; ++i) {
+  points.reserve(modeled);
+  for (std::size_t i = 0; i < modeled; ++i) {
     points.push_back({predictions[i].speedup, predictions[i].energy,
                       static_cast<std::uint32_t>(i)});
   }
@@ -226,22 +217,19 @@ std::vector<PredictedPoint> FrequencyModel::predict_pareto(
   std::vector<PredictedPoint> out;
   out.reserve(front.size() + 1);
   for (const auto& p : front) out.push_back(predictions[p.id]);
-  if (grid.configs.size() > grid.modeled) {
-    out.push_back(predictions[grid.modeled]);
+  if (rows.size() > modeled) {
+    out.push_back(predictions[modeled]);
     out.back().heuristic = true;
   }
   return out;
 }
 
 std::vector<PredictedPoint> FrequencyModel::predict_pareto(
-    const clfront::StaticFeatures& features,
-    std::span<const gpusim::FrequencyConfig> configs) const {
-  return predict_pareto(features, make_grid(configs));
-}
-
-std::vector<PredictedPoint> FrequencyModel::predict_pareto(
     const clfront::StaticFeatures& features) const {
-  return predict_pareto(features, default_grid_);
+  const auto configs = domain_.sample_configs(training_configs_.empty()
+                                                  ? 40
+                                                  : training_configs_.size());
+  return predict_pareto(features, configs);
 }
 
 std::string FrequencyModel::serialize() const {
@@ -347,7 +335,6 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   model.energy_key_ = model.energy_->name();
   model.training_configs_ = std::move(configs);
   model.training_samples_ = n_samples;
-  model.init_default_grid();
   return model;
 }
 

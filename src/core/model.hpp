@@ -98,8 +98,7 @@ class FrequencyModel {
       const clfront::StaticFeatures& features,
       std::span<const gpusim::FrequencyConfig> configs) const;
 
-  /// Same, over the default evaluation sampling of the training domain
-  /// (built once per model, heuristic row included).
+  /// Same, over the default evaluation sampling of the training domain.
   [[nodiscard]] std::vector<PredictedPoint> predict_pareto(
       const clfront::StaticFeatures& features) const;
 
@@ -144,19 +143,6 @@ class FrequencyModel {
   FrequencyModel(gpusim::FrequencyDomain domain, FeatureAssembler assembler)
       : domain_(std::move(domain)), assembler_(assembler) {}
 
-  /// The rows one Pareto prediction evaluates: the modeled configurations
-  /// (mem-L excluded), then the mem-L heuristic configuration when the
-  /// domain has one. Both go through one batch prediction.
-  struct EvalGrid {
-    std::vector<gpusim::FrequencyConfig> configs;
-    std::size_t modeled = 0;  ///< configs[modeled], if present, is the heuristic row
-  };
-  [[nodiscard]] EvalGrid make_grid(std::span<const gpusim::FrequencyConfig> configs) const;
-  [[nodiscard]] std::vector<PredictedPoint> predict_pareto(
-      const clfront::StaticFeatures& features, const EvalGrid& grid) const;
-  /// Build default_grid_ from the domain and the training-config count.
-  void init_default_grid();
-
   gpusim::FrequencyDomain domain_;
   FeatureAssembler assembler_;
   std::string speedup_key_ = "svr-linear";
@@ -165,7 +151,6 @@ class FrequencyModel {
   std::unique_ptr<ml::Regressor> energy_;
   std::vector<gpusim::FrequencyConfig> training_configs_;
   std::size_t training_samples_ = 0;
-  EvalGrid default_grid_;
 };
 
 }  // namespace repro::core

@@ -403,27 +403,40 @@ std::vector<double> Svr::predict(const Matrix& x) const {
   // frequency grid) are reduced once per support vector. Element i always
   // lands in lane i % 4 in ascending order, so finishing each row from
   // these lane partials repeats exactly the operations of predict_one.
+  // With no shared prefix there is nothing to hoist, and the row-major
+  // evaluate_row pass is the faster way to the same bits.
   const std::size_t p = shared_column_prefix(x);
-  std::vector<double> lanes(common::simd::kLanes * n_sv);
-  common::simd::prefix_partials(reduction_of(params_.kernel.type), x.row(0).first(p),
-                                sv_cols_.data(), n_sv, n_sv, lanes.data());
+  std::vector<double> lanes;
+  if (p > 0) {
+    lanes.resize(common::simd::kLanes * n_sv);
+    common::simd::prefix_partials(reduction_of(params_.kernel.type), x.row(0).first(p),
+                                  sv_cols_.data(), n_sv, n_sv, lanes.data());
+  }
 
   std::vector<double> out(x.rows(), b_);
-  // Blocked over (support-vector block x row block): the block's suffix
-  // columns and lane partials stay hot in cache across the rows. Per row
-  // the blocks accumulate in the same ascending order as decision() —
-  // deterministic under threading because rows write disjoint slots.
+  // Blocked over (support-vector block x row block): the block's support
+  // vectors (or suffix columns and lane partials) stay hot in cache across
+  // the rows. Per row the blocks accumulate in the same ascending order as
+  // decision() — deterministic under threading because rows write
+  // disjoint slots.
   const auto body = [&](std::size_t lo, std::size_t hi) {
     std::array<double, kRowBlock * kSvBlock> buf;
     for (std::size_t sb = 0; sb < n_sv; sb += kSvBlock) {
       const std::size_t len = std::min(kSvBlock, n_sv - sb);
+      const std::span<const double> coef{sv_coef_.data() + sb, len};
+      if (p == 0) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          params_.kernel.evaluate_row(x.row(r), sv_, sb, sb + len, buf);
+          out[r] += common::simd::dot(coef, {buf.data(), len});
+        }
+        continue;
+      }
       for (std::size_t r0 = lo; r0 < hi; r0 += kRowBlock) {
         const std::size_t rows = std::min(kRowBlock, hi - r0);
         evaluate_suffix(params_.kernel, x.row(r0).data(), rows, d, p, sv_cols_.data() + sb,
                         lanes.data() + sb, n_sv, len, buf);
         for (std::size_t r = 0; r < rows; ++r) {
-          out[r0 + r] +=
-              common::simd::dot({sv_coef_.data() + sb, len}, {buf.data() + r * len, len});
+          out[r0 + r] += common::simd::dot(coef, {buf.data() + r * len, len});
         }
       }
     }

@@ -73,9 +73,10 @@ class Svr final : public Regressor {
   /// in one blocked pass. The longest column prefix that every row shares
   /// bit for bit (a kernel's static features across a frequency grid) is
   /// reduced once per support vector; each row then folds in only its
-  /// remaining columns. Per row, kernel contributions accumulate in
-  /// support-vector order, so the result is bit-identical to predict_one
-  /// at any thread count.
+  /// remaining columns. With no shared prefix every row takes the
+  /// row-major evaluate_row pass instead. Per row, kernel contributions
+  /// accumulate in support-vector order, so the result is bit-identical to
+  /// predict_one at any thread count.
   /// \throws std::invalid_argument when x.cols() is not the fitted width.
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const override;
   [[nodiscard]] std::string name() const override;

@@ -190,8 +190,8 @@ TEST(FrequencyModelTest, GridPredictionsMatchPerConfigBitForBit) {
   // The default model (linear-SVR speedup, RBF-SVR energy) predicts a grid
   // in one batch whose rows share the kernel's static columns. Every point
   // must equal the single-configuration predictions bit for bit — the
-  // mem-L heuristic row included — and the default grid, built once per
-  // model, must give what an explicit call over the same sampling gives.
+  // mem-L heuristic row included — and the default sampling must give what
+  // an explicit call over the same configurations gives.
   const auto& model = trained_model();
   const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
   const auto configs = sim().freq().sample_configs(40);
