@@ -50,7 +50,7 @@ extract "$current" >"$work_dir/cur.txt"
 
 # The gated cases: the stack's headline hot paths. Sub-0.1 ms cases are
 # covered by the absolute slack more than the ratio.
-cases="svr_train svr_batch_predict pareto_front predict_plus_pareto matrix_multiply simd_kernel_matrix protocol_request_codec protocol_response_codec protocol_parse_arena serving_hotpath"
+cases="svr_train svr_batch_predict pareto_front predict_plus_pareto matrix_multiply simd_kernel_matrix stream_featurize protocol_request_codec protocol_response_codec protocol_parse_arena serving_hotpath"
 
 fail=0
 for name in $cases; do

@@ -1,6 +1,6 @@
 #include "clfront/features.hpp"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "clfront/lower.hpp"
@@ -66,61 +66,138 @@ std::optional<FeatureIndex> feature_index(Opcode op) noexcept {
   }
 }
 
-namespace {
+FunctionSummary summarize(const IrFunction& ir) {
+  FunctionSummary summary;
+  summary.name = ir.name;
+  summary.is_kernel = ir.is_kernel;
+  for (const auto& inst : ir.body) {
+    if (const auto f = feature_index(inst.op)) {
+      summary.counts[static_cast<std::size_t>(*f)] += static_cast<double>(inst.width);
+    } else if (inst.op == Opcode::kCall) {
+      summary.calls.push_back(inst.detail);
+    }
+  }
+  return summary;
+}
 
-common::Status accumulate(const IrModule& module, const IrFunction& fn,
-                          std::array<double, kNumFeatures>& counts,
-                          std::set<std::string>& call_chain) {
-  if (call_chain.size() >= kMaxCallDepth) {
+CallResolver::CallResolver(std::span<const FunctionSummary> functions)
+    : functions_(functions), nodes_(functions.size()) {
+  by_name_.reserve(functions.size());
+  for (std::uint32_t i = 0; i < functions.size(); ++i) {
+    nodes_[i].first = by_name_.try_emplace(functions[i].name, i).first->second;
+  }
+  callee_begin_.reserve(functions.size() + 1);
+  for (const auto& fn : functions) {
+    callee_begin_.push_back(callees_.size());
+    for (const auto& call : fn.calls) {
+      const auto it = by_name_.find(call);
+      callees_.push_back(it == by_name_.end() ? kMissing : it->second);
+    }
+  }
+  callee_begin_.push_back(callees_.size());
+}
+
+const FunctionSummary* CallResolver::find(std::string_view name) const noexcept {
+  const auto it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : &functions_[it->second];
+}
+
+common::Status CallResolver::visit(std::uint32_t index, std::size_t depth) {
+  const FunctionSummary& fn = functions_[index];
+  Node& node = nodes_[index];
+  // A known total is free to reuse unless the chain now runs past the depth
+  // budget below it; then the walk goes on, to fail where the re-expanding
+  // walk would. (A known total's call tree is acyclic and fully defined, so
+  // the budget is the only error it can still produce.)
+  if (node.done && depth + node.height < kMaxCallDepth) return common::Status::Ok();
+  if (depth >= kMaxCallDepth) {
     return common::internal_error("call chain exceeds the depth budget of " +
                                   std::to_string(kMaxCallDepth) + " at '" + fn.name +
                                   "'");
   }
-  if (!call_chain.insert(fn.name).second) {
+  Node& chain = nodes_[node.first];
+  if (chain.active) {
     return common::internal_error("recursive call chain through '" + fn.name + "'");
   }
-  for (const auto& inst : fn.body) {
-    if (const auto f = feature_index(inst.op)) {
-      counts[static_cast<std::size_t>(*f)] += static_cast<double>(inst.width);
-      continue;
+  const std::size_t begin = callee_begin_[index];
+  const std::size_t end = callee_begin_[index + 1];
+  if (node.done) {
+    for (std::size_t k = begin; k < end; ++k) {
+      if (auto st = visit(callees_[k], depth + 1); !st.ok()) return st;
     }
-    if (inst.op == Opcode::kCall) {
-      const IrFunction* callee = module.find(inst.detail);
-      if (callee == nullptr) {
-        return common::not_found("callee '" + inst.detail + "' not in module");
-      }
-      if (auto st = accumulate(module, *callee, counts, call_chain); !st.ok()) return st;
-    }
+    return common::Status::Ok();
   }
-  call_chain.erase(fn.name);
+  chain.active = true;
+  // Integer-valued sums below 2^53 are exact, so adding call-tree totals
+  // equals adding every instruction in walk order (docs/DETERMINISM.md).
+  std::array<double, kNumFeatures> total = fn.counts;
+  std::size_t height = 0;
+  for (std::size_t k = begin; k < end; ++k) {
+    const std::uint32_t callee = callees_[k];
+    if (callee == kMissing) {
+      return common::not_found("callee '" + fn.calls[k - begin] + "' not in module");
+    }
+    if (auto st = visit(callee, depth + 1); !st.ok()) return st;
+    const Node& done = nodes_[callee];
+    for (std::size_t i = 0; i < kNumFeatures; ++i) total[i] += done.total[i];
+    height = std::max(height, done.height + 1);
+  }
+  chain.active = false;
+  node.total = total;
+  node.height = height;
+  node.done = true;
   return common::Status::Ok();
 }
 
-}  // namespace
+common::Result<StaticFeatures> CallResolver::resolve(const FunctionSummary& target) {
+  const auto index = static_cast<std::uint32_t>(&target - functions_.data());
+  if (nodes_[index].first != index) {
+    // A redefinition walks under its name, which its calls resolve to the
+    // first definition of: a total known from another walk may pass through
+    // that definition, which is recursion here. Forget every stored total.
+    for (auto& node : nodes_) node.done = false;
+  }
+  if (auto st = visit(index, 0); !st.ok()) {
+    for (auto& node : nodes_) node.active = false;  // the failed walk's chain
+    return st.error();
+  }
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  for (const double count : nodes_[index].total) {
+    if (count >= kExactLimit) {
+      return common::parse_error("feature counts of '" + target.name +
+                                 "' reach 2^53, past exact binary64 sums");
+    }
+  }
+  StaticFeatures features;
+  features.kernel_name = target.name;
+  features.counts = nodes_[index].total;
+  return features;
+}
+
+common::Result<StaticFeatures> CallResolver::features(const std::string& kernel) {
+  const FunctionSummary* target = nullptr;
+  if (kernel.empty()) {
+    const auto it = std::find_if(functions_.begin(), functions_.end(),
+                                 [](const FunctionSummary& s) { return s.is_kernel; });
+    if (it == functions_.end()) {
+      return common::not_found("module contains no kernel function");
+    }
+    target = &*it;
+  } else {
+    target = find(kernel);
+    if (target == nullptr) {
+      return common::not_found("kernel '" + kernel + "' not in module");
+    }
+  }
+  return resolve(*target);
+}
 
 common::Result<StaticFeatures> extract_features(const IrModule& module,
                                                 const std::string& kernel) {
-  const IrFunction* fn = nullptr;
-  if (kernel.empty()) {
-    for (const auto& f : module.functions) {
-      if (f.is_kernel) {
-        fn = &f;
-        break;
-      }
-    }
-    if (fn == nullptr) return common::not_found("module contains no kernel function");
-  } else {
-    fn = module.find(kernel);
-    if (fn == nullptr) return common::not_found("kernel '" + kernel + "' not in module");
-  }
-
-  StaticFeatures features;
-  features.kernel_name = fn->name;
-  std::set<std::string> chain;
-  if (auto st = accumulate(module, *fn, features.counts, chain); !st.ok()) {
-    return st.error();
-  }
-  return features;
+  std::vector<FunctionSummary> summaries;
+  summaries.reserve(module.functions.size());
+  for (const auto& f : module.functions) summaries.push_back(summarize(f));
+  return CallResolver(summaries).features(kernel);
 }
 
 common::Result<StaticFeatures> extract_features_from_source(const std::string& source,

@@ -10,8 +10,13 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "clfront/ir.hpp"
 #include "common/status.hpp"
@@ -62,6 +67,69 @@ struct StaticFeatures {
 
   /// Compact printable form (for logs / tests).
   [[nodiscard]] std::string to_string() const;
+};
+
+/// Per-function feature accumulator: the local width-weighted counts plus
+/// every user-call site in instruction order. Cross-function resolution
+/// (CallResolver) runs over these, not over IR.
+struct FunctionSummary {
+  std::string name;
+  bool is_kernel = false;
+  std::array<double, kNumFeatures> counts{};
+  std::vector<std::string> calls;
+};
+
+/// Collapse one lowered function into its summary.
+[[nodiscard]] FunctionSummary summarize(const IrFunction& ir);
+
+/// Resolves call trees over a set of function summaries: the features of a
+/// function are its own counts plus, at each call site, the callee's — the
+/// static analogue of inlining. Each function's call-tree total is computed
+/// once and reused at every later call site, so a chain of functions that
+/// each call the next twice costs linear, not exponential, time.
+///
+/// Errors match a plain depth-first walk that re-expands every call: the
+/// first error in call order wins, with the same message — a callee missing
+/// from the set, a recursive chain, or a chain deeper than kMaxCallDepth
+/// (reported at the first function the walk would enter past the budget,
+/// even when that function's total is already known). A total that reaches
+/// 2^53 fails too: beyond it binary64 sums stop being exact, and the result
+/// would depend on summation order (docs/DETERMINISM.md).
+class CallResolver {
+ public:
+  /// `functions` must outlive the resolver. A name defined twice resolves
+  /// to its first definition, like IrModule::find.
+  explicit CallResolver(std::span<const FunctionSummary> functions);
+
+  /// Features of `target`, which must be an element of the set.
+  [[nodiscard]] common::Result<StaticFeatures> resolve(const FunctionSummary& target);
+
+  /// Features of the function named `kernel`, or of the first kernel
+  /// function when `kernel` is empty.
+  [[nodiscard]] common::Result<StaticFeatures> features(const std::string& kernel);
+
+ private:
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  struct Node {
+    bool done = false;        // `total` and `height` are known
+    bool active = false;      // on the current call chain (first definitions)
+    std::uint32_t first = 0;  // index of the first definition of this name
+    std::size_t height = 0;   // calls on the longest chain below this one
+    std::array<double, kNumFeatures> total{};
+  };
+
+  /// The first definition of `name`, or nullptr.
+  [[nodiscard]] const FunctionSummary* find(std::string_view name) const noexcept;
+  /// Walk function `index`, entered with `depth` callers on the chain; on
+  /// success its node is done.
+  common::Status visit(std::uint32_t index, std::size_t depth);
+
+  std::span<const FunctionSummary> functions_;
+  std::unordered_map<std::string_view, std::uint32_t> by_name_;
+  std::vector<std::uint32_t> callees_;       // every call site, resolved
+  std::vector<std::size_t> callee_begin_;    // per function, into callees_
+  std::vector<Node> nodes_;
 };
 
 /// Extract features from a lowered module for one kernel. Calls to user

@@ -1,7 +1,8 @@
 #include "clfront/lexer.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
 
@@ -9,23 +10,158 @@ namespace repro::clfront {
 
 namespace {
 
-constexpr std::array kKeywords = {
-    "kernel",   "__kernel",   "global",   "__global", "local",    "__local",
-    "constant", "__constant", "private",  "__private", "const",   "restrict",
-    "volatile", "void",       "bool",     "char",     "uchar",    "short",
-    "ushort",   "int",        "uint",     "long",     "ulong",    "float",
-    "double",   "half",       "size_t",   "if",       "else",     "for",
-    "while",    "do",         "return",   "break",    "continue", "struct",
-    "unsigned", "signed",
+/// The longest classified spelling ("__constant"); longer words are plain
+/// identifiers without a table probe.
+constexpr std::size_t kMaxWordLength = 10;
+
+struct WordSlot {
+  std::array<char, kMaxWordLength> text{};
+  std::uint8_t length = 0;  // 0: empty slot
+  Keyword keyword = Keyword::kNone;
+  ScalarKind scalar = ScalarKind::kInt;
+  std::uint8_t width = 0;  // 0: not a type name
 };
+
+/// Every keyword and type spelling of the subset in one open-addressing
+/// table, built at compile time: each identifier costs one hash and, in
+/// the common case, one length compare.
+class WordTable {
+ public:
+  constexpr WordTable() {
+    constexpr std::pair<std::string_view, Keyword> kKeywords[] = {
+        {"kernel", Keyword::kKernel},       {"__kernel", Keyword::kKernel},
+        {"global", Keyword::kGlobal},       {"__global", Keyword::kGlobal},
+        {"local", Keyword::kLocal},         {"__local", Keyword::kLocal},
+        {"constant", Keyword::kConstant},   {"__constant", Keyword::kConstant},
+        {"private", Keyword::kPrivate},     {"__private", Keyword::kPrivate},
+        {"const", Keyword::kConst},         {"restrict", Keyword::kRestrict},
+        {"volatile", Keyword::kVolatile},   {"unsigned", Keyword::kUnsigned},
+        {"signed", Keyword::kSigned},       {"size_t", Keyword::kType},
+        {"if", Keyword::kIf},               {"else", Keyword::kElse},
+        {"for", Keyword::kFor},             {"while", Keyword::kWhile},
+        {"do", Keyword::kDo},               {"return", Keyword::kReturn},
+        {"break", Keyword::kBreak},         {"continue", Keyword::kContinue},
+        {"struct", Keyword::kStruct},
+    };
+    constexpr std::pair<std::string_view, ScalarKind> kScalars[] = {
+        {"void", ScalarKind::kVoid},     {"bool", ScalarKind::kBool},
+        {"char", ScalarKind::kChar},     {"uchar", ScalarKind::kUChar},
+        {"short", ScalarKind::kShort},   {"ushort", ScalarKind::kUShort},
+        {"int", ScalarKind::kInt},       {"uint", ScalarKind::kUInt},
+        {"long", ScalarKind::kLong},     {"ulong", ScalarKind::kULong},
+        {"float", ScalarKind::kFloat},   {"double", ScalarKind::kDouble},
+        {"half", ScalarKind::kHalf},
+    };
+    for (const auto& [word, keyword] : kKeywords) insert(word).keyword = keyword;
+    set_type(insert("size_t"), ScalarKind::kULong, 1);
+    set_type(insert("unsigned"), ScalarKind::kUInt, 1);
+    // Scalar type keywords, and their vectors (float4, uchar16, …) as plain
+    // identifiers: void and bool have no vector forms.
+    for (const auto& [base, scalar] : kScalars) {
+      WordSlot& slot = insert(base);
+      slot.keyword = Keyword::kType;
+      set_type(slot, scalar, 1);
+      if (scalar == ScalarKind::kVoid || scalar == ScalarKind::kBool) continue;
+      for (const int width : {2, 3, 4, 8, 16}) {
+        std::array<char, kMaxWordLength> name{};
+        std::size_t n = 0;
+        for (const char c : base) name[n++] = c;
+        if (width >= 10) name[n++] = static_cast<char>('0' + width / 10);
+        name[n++] = static_cast<char>('0' + width % 10);
+        set_type(insert(std::string_view(name.data(), n)), scalar, width);
+      }
+    }
+  }
+
+  [[nodiscard]] constexpr const WordSlot* find(std::string_view word) const noexcept {
+    if (word.empty() || word.size() > kMaxWordLength) return nullptr;
+    for (std::size_t i = hash(word);; i = (i + 1) % kSlots) {
+      const WordSlot& slot = slots_[i];
+      if (slot.length == 0) return nullptr;
+      if (slot.length == word.size() &&
+          std::string_view(slot.text.data(), slot.length) == word) {
+        return &slot;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 256;  // ~100 spellings: short probes
+
+  static constexpr std::size_t hash(std::string_view word) noexcept {
+    std::uint32_t h = 2166136261u;  // FNV-1a
+    for (const char c : word) {
+      h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    }
+    return h % kSlots;
+  }
+
+  static constexpr void set_type(WordSlot& slot, ScalarKind scalar, int width) {
+    slot.scalar = scalar;
+    slot.width = static_cast<std::uint8_t>(width);
+  }
+
+  constexpr WordSlot& insert(std::string_view word) {
+    for (std::size_t i = hash(word);; i = (i + 1) % kSlots) {
+      WordSlot& slot = slots_[i];
+      if (slot.length == 0) {
+        for (std::size_t j = 0; j < word.size(); ++j) slot.text[j] = word[j];
+        slot.length = static_cast<std::uint8_t>(word.size());
+        return slot;
+      }
+      if (std::string_view(slot.text.data(), slot.length) == word) return slot;
+    }
+  }
+
+  std::array<WordSlot, kSlots> slots_{};
+};
+
+constexpr WordTable kWordTable;
+
+/// ASCII character classes — what <cctype> answers in the "C" locale, which
+/// this library never changes — as one table lookup.
+enum CharClass : std::uint8_t { kDigit = 1, kHexDigit = 2, kIdentStart = 4, kSpace = 8 };
+
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (int c = '0'; c <= '9'; ++c) table[c] = kDigit | kHexDigit;
+  for (int c = 'a'; c <= 'f'; ++c) table[c] |= kHexDigit;
+  for (int c = 'A'; c <= 'F'; ++c) table[c] |= kHexDigit;
+  for (int c = 'a'; c <= 'z'; ++c) table[c] |= kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] |= kIdentStart;
+  table['_'] |= kIdentStart;
+  for (const char c : {' ', '\t', '\r', '\n'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  return table;
+}();
+
+constexpr bool has_class(char c, std::uint8_t mask) noexcept {
+  return (kCharClass[static_cast<unsigned char>(c)] & mask) != 0;
+}
+constexpr bool is_space(char c) noexcept { return has_class(c, kSpace); }
+constexpr bool is_digit(char c) noexcept { return has_class(c, kDigit); }
+constexpr bool is_hex_digit(char c) noexcept { return has_class(c, kHexDigit); }
+constexpr bool is_ident_start(char c) noexcept { return has_class(c, kIdentStart); }
+constexpr bool is_ident_char(char c) noexcept {
+  return has_class(c, kIdentStart | kDigit);
+}
 
 }  // namespace
 
-bool is_keyword(const std::string& word) noexcept {
-  for (const char* k : kKeywords) {
-    if (word == k) return true;
+WordClass classify_word(std::string_view word) noexcept {
+  WordClass out;
+  if (const WordSlot* slot = kWordTable.find(word)) {
+    out.keyword = slot->keyword;
+    if (slot->width != 0) {
+      out.type = Type{slot->scalar, slot->width, false, AddressSpace::kPrivate};
+    }
   }
-  return false;
+  return out;
+}
+
+bool is_keyword(std::string_view word) noexcept {
+  return classify_word(word).keyword != Keyword::kNone;
 }
 
 const char* token_kind_name(TokenKind kind) noexcept {
@@ -86,15 +222,23 @@ const char* token_kind_name(TokenKind kind) noexcept {
 
 namespace {
 
-/// The one lexing implementation. Scans a byte window starting in `mode` at
-/// `loc`; with final == false it suspends (rolls back) any token that
-/// touches the end of the window instead of committing it, so the caller
-/// can retry once more bytes arrive — which is exactly what makes chunked
-/// lexing byte-identical to one-shot lexing at any chunk size.
+/// The one lexing implementation. Scans a byte window starting in `state`;
+/// with final == false it suspends (rolls back) any token that touches the
+/// end of the window instead of committing it, so the caller can retry once
+/// more bytes arrive — which is exactly what makes chunked lexing
+/// byte-identical to one-shot lexing at any chunk size.
 class ChunkLexer {
  public:
-  ChunkLexer(std::string_view text, SourceLoc loc, detail::LexMode mode, bool final)
-      : text_(text), loc_(loc), committed_loc_(loc), mode_(mode), final_(final) {}
+  ChunkLexer(std::string_view text, detail::LexState state, bool final,
+             std::vector<Token>& tokens)
+      : text_(text),
+        loc_(state.loc),
+        committed_loc_(state.loc),
+        mode_(state.mode),
+        line_start_(state.line_start),
+        committed_line_start_(state.line_start),
+        final_(final),
+        tokens_(tokens) {}
 
   detail::ChunkLex run() {
     for (;;) {
@@ -108,16 +252,22 @@ class ChunkLexer {
       const SourceLoc start_loc = loc_;
       const char c = peek();
 
-      if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        advance();
+      if (is_space(c)) {
+        for (char w = c; is_space(w); w = peek()) {  // the whole run at once
+          advance();
+          if (w == '\n') line_start_ = true;
+        }
         continue;
       }
-      // Preprocessor lines (e.g. #pragma OPENCL EXTENSION ...) are skipped.
-      if (c == '#' && loc_.column == 1) {
+      // Preprocessor lines (e.g. #pragma OPENCL EXTENSION ..., or an
+      // indented #pragma unroll) are skipped.
+      if (c == '#' && line_start_) {
         advance();
+        line_start_ = false;
         mode_ = detail::LexMode::kPreprocessor;
         continue;
       }
+      line_start_ = false;
       if (c == '/') {
         // Classifying '/' needs one byte of lookahead; mid-stream, suspend
         // on the bare slash until the next chunk supplies it.
@@ -138,33 +288,19 @@ class ChunkLexer {
       // A '.' may start a float literal (".5f") — that too needs lookahead.
       if (c == '.' && pos_ + 1 >= text_.size() && !final_) break;
 
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-          (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))) != 0)) {
-        auto tok = lex_number();
-        if (error_.has_value()) break;
-        if (suspended_) {
-          rollback(start_pos, start_loc);
-          break;
-        }
-        tokens_.push_back(std::move(tok));
-        if (pos_ == text_.size() && !final_) {
+      if (is_digit(c) || (c == '.' && is_digit(peek(1)))) {
+        const bool done = lex_number(push(TokenKind::kIntLiteral));
+        if (!done) {
           tokens_.pop_back();
-          rollback(start_pos, start_loc);
+          if (error_.has_value()) break;
+          rollback(start_pos, start_loc);  // suspended mid-exponent
           break;
         }
-        continue;
+      } else if (is_ident_start(c)) {
+        lex_identifier();
+      } else if (!lex_operator(c)) {
+        break;  // error recorded
       }
-      if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-        tokens_.push_back(lex_identifier());
-        if (pos_ == text_.size() && !final_) {
-          tokens_.pop_back();
-          rollback(start_pos, start_loc);
-          break;
-        }
-        continue;
-      }
-
-      if (!lex_operator(c)) break;  // error recorded
       if (pos_ == text_.size() && !final_) {
         tokens_.pop_back();
         rollback(start_pos, start_loc);
@@ -173,10 +309,8 @@ class ChunkLexer {
     }
 
     detail::ChunkLex out;
-    out.tokens = std::move(tokens_);
     out.consumed = committed_pos_;
-    out.loc = committed_loc_;
-    out.mode = mode_;
+    out.state = {committed_loc_, mode_, committed_line_start_};
     out.error = std::move(error_);
     return out;
   }
@@ -204,6 +338,7 @@ class ChunkLexer {
   void commit() noexcept {
     committed_pos_ = pos_;
     committed_loc_ = loc_;
+    committed_line_start_ = line_start_;
   }
   void rollback(std::size_t pos, SourceLoc loc) noexcept {
     pos_ = pos;
@@ -215,8 +350,9 @@ class ChunkLexer {
                                  std::to_string(loc_.column) + ": " + msg);
   }
 
-  [[nodiscard]] Token make(TokenKind kind) const {
-    Token t;
+  /// Append a token of `kind` starting at the current token start.
+  Token& push(TokenKind kind) {
+    Token& t = tokens_.emplace_back();
     t.kind = kind;
     t.loc = token_start_;
     return t;
@@ -226,8 +362,7 @@ class ChunkLexer {
   /// lexing may proceed; false on suspend (bytes committed, mode saved) or
   /// error.
   bool resume() {
-    if (mode_ == detail::LexMode::kLineComment ||
-        mode_ == detail::LexMode::kPreprocessor) {
+    if (mode_ == detail::LexMode::kLineComment) {
       while (!at_end() && peek() != '\n') advance();
       if (at_end() && !final_) {
         commit();
@@ -237,6 +372,30 @@ class ChunkLexer {
       // the whitespace path, exactly like the one-shot scan.
       mode_ = detail::LexMode::kNormal;
       return true;
+    }
+    if (mode_ == detail::LexMode::kPreprocessor ||
+        mode_ == detail::LexMode::kPreprocessorBackslash) {
+      // A backslash right before the newline (a '\r' of a CRLF may sit in
+      // between) continues the line, even across chunks; the first
+      // unescaped '\n' ends it and, as above, is left to the whitespace path.
+      bool backslash = mode_ == detail::LexMode::kPreprocessorBackslash;
+      while (!at_end()) {
+        const char c = peek();
+        if (c == '\n' && !backslash) {
+          mode_ = detail::LexMode::kNormal;
+          return true;
+        }
+        advance();
+        backslash = c == '\\' || (backslash && c == '\r');
+      }
+      if (final_) {
+        mode_ = detail::LexMode::kNormal;
+        return true;
+      }
+      mode_ = backslash ? detail::LexMode::kPreprocessorBackslash
+                        : detail::LexMode::kPreprocessor;
+      commit();
+      return false;
     }
     // Block comment; a '/' right after a '*' closes it, even across chunks.
     bool star = mode_ == detail::LexMode::kBlockCommentStar;
@@ -257,7 +416,10 @@ class ChunkLexer {
     return false;
   }
 
-  Token lex_number() {
+  /// Scan a numeric literal into `t` (pre-set as an integer literal at the
+  /// token start). False on a lexical error (recorded) or when the literal
+  /// is cut off mid-exponent by the end of a non-final window.
+  bool lex_number(Token& t) {
     const std::size_t start = pos_;
     bool is_float = false;
     bool is_hex = false;
@@ -266,13 +428,13 @@ class ChunkLexer {
       is_hex = true;
       advance();
       advance();
-      while (std::isxdigit(static_cast<unsigned char>(peek())) != 0) advance();
+      while (is_hex_digit(peek())) advance();
     } else {
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) advance();
-      if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1))) != 0) {
+      while (is_digit(peek())) advance();
+      if (peek() == '.' && is_digit(peek(1))) {
         is_float = true;
         advance();
-        while (std::isdigit(static_cast<unsigned char>(peek())) != 0) advance();
+        while (is_digit(peek())) advance();
       } else if (peek() == '.') {
         is_float = true;
         advance();
@@ -281,32 +443,27 @@ class ChunkLexer {
         is_float = true;
         advance();
         if (peek() == '+' || peek() == '-') advance();
-        if (std::isdigit(static_cast<unsigned char>(peek())) == 0) {
+        if (!is_digit(peek())) {
           // Mid-stream the missing digit may simply be in the next chunk.
-          if (at_end() && !final_) {
-            suspended_ = true;
-            return Token{};
-          }
+          if (at_end() && !final_) return false;
           fail_here("malformed exponent in float literal");
-          return Token{};
+          return false;
         }
-        while (std::isdigit(static_cast<unsigned char>(peek())) != 0) advance();
+        while (is_digit(peek())) advance();
       }
     }
 
-    std::string text(text_.substr(start, pos_ - start));
-    Token t = make(is_float ? TokenKind::kFloatLiteral : TokenKind::kIntLiteral);
-    t.text = text;
-
+    t.text.assign(text_.substr(start, pos_ - start));
     if (is_float) {
-      t.float_value = std::strtod(text.c_str(), nullptr);
+      t.kind = TokenKind::kFloatLiteral;
+      t.float_value = std::strtod(t.text.c_str(), nullptr);
       t.is_float32 = false;
       if (peek() == 'f' || peek() == 'F') {
         advance();
         t.is_float32 = true;
       }
     } else {
-      t.int_value = std::strtoull(text.c_str(), nullptr, is_hex ? 16 : 10);
+      t.int_value = std::strtoull(t.text.c_str(), nullptr, is_hex ? 16 : 10);
       // OpenCL suffixes: u, U, l, L and combinations.
       while (peek() == 'u' || peek() == 'U' || peek() == 'l' || peek() == 'L') {
         if (peek() == 'u' || peek() == 'U') t.is_unsigned = true;
@@ -320,88 +477,91 @@ class ChunkLexer {
         t.is_float32 = true;
       }
     }
-    return t;
+    return true;
   }
 
-  Token lex_identifier() {
+  /// Identifier or keyword, classified here once for the parser.
+  void lex_identifier() {
+    // No newline inside: the column moves by the length.
     const std::size_t start = pos_;
-    while (std::isalnum(static_cast<unsigned char>(peek())) != 0 || peek() == '_') {
-      advance();
-    }
-    Token t = make(TokenKind::kIdentifier);
-    t.text = std::string(text_.substr(start, pos_ - start));
-    if (is_keyword(t.text)) t.kind = TokenKind::kKeyword;
-    return t;
+    while (pos_ < text_.size() && is_ident_char(text_[pos_])) ++pos_;
+    loc_.column += static_cast<int>(pos_ - start);
+    const std::string_view word = text_.substr(start, pos_ - start);
+    Token& t = push(TokenKind::kIdentifier);
+    t.text.assign(word);
+    const WordClass word_class = classify_word(word);
+    if (word_class.keyword != Keyword::kNone) t.kind = TokenKind::kKeyword;
+    t.keyword = word_class.keyword;
+    t.type = word_class.type;
   }
 
   /// Punctuation and operators; pushes the token. False on error.
   bool lex_operator(char c) {
     advance();
     switch (c) {
-      case '(': tokens_.push_back(make(TokenKind::kLParen)); break;
-      case ')': tokens_.push_back(make(TokenKind::kRParen)); break;
-      case '{': tokens_.push_back(make(TokenKind::kLBrace)); break;
-      case '}': tokens_.push_back(make(TokenKind::kRBrace)); break;
-      case '[': tokens_.push_back(make(TokenKind::kLBracket)); break;
-      case ']': tokens_.push_back(make(TokenKind::kRBracket)); break;
-      case ',': tokens_.push_back(make(TokenKind::kComma)); break;
-      case ';': tokens_.push_back(make(TokenKind::kSemicolon)); break;
-      case ':': tokens_.push_back(make(TokenKind::kColon)); break;
-      case '?': tokens_.push_back(make(TokenKind::kQuestion)); break;
-      case '~': tokens_.push_back(make(TokenKind::kTilde)); break;
-      case '.': tokens_.push_back(make(TokenKind::kDot)); break;
+      case '(': push(TokenKind::kLParen); break;
+      case ')': push(TokenKind::kRParen); break;
+      case '{': push(TokenKind::kLBrace); break;
+      case '}': push(TokenKind::kRBrace); break;
+      case '[': push(TokenKind::kLBracket); break;
+      case ']': push(TokenKind::kRBracket); break;
+      case ',': push(TokenKind::kComma); break;
+      case ';': push(TokenKind::kSemicolon); break;
+      case ':': push(TokenKind::kColon); break;
+      case '?': push(TokenKind::kQuestion); break;
+      case '~': push(TokenKind::kTilde); break;
+      case '.': push(TokenKind::kDot); break;
       case '+':
-        if (match('+')) tokens_.push_back(make(TokenKind::kPlusPlus));
-        else if (match('=')) tokens_.push_back(make(TokenKind::kPlusAssign));
-        else tokens_.push_back(make(TokenKind::kPlus));
+        if (match('+')) push(TokenKind::kPlusPlus);
+        else if (match('=')) push(TokenKind::kPlusAssign);
+        else push(TokenKind::kPlus);
         break;
       case '-':
-        if (match('-')) tokens_.push_back(make(TokenKind::kMinusMinus));
-        else if (match('=')) tokens_.push_back(make(TokenKind::kMinusAssign));
-        else if (match('>')) tokens_.push_back(make(TokenKind::kArrow));
-        else tokens_.push_back(make(TokenKind::kMinus));
+        if (match('-')) push(TokenKind::kMinusMinus);
+        else if (match('=')) push(TokenKind::kMinusAssign);
+        else if (match('>')) push(TokenKind::kArrow);
+        else push(TokenKind::kMinus);
         break;
       case '*':
-        tokens_.push_back(make(match('=') ? TokenKind::kStarAssign : TokenKind::kStar));
+        push(match('=') ? TokenKind::kStarAssign : TokenKind::kStar);
         break;
       case '/':
-        tokens_.push_back(make(match('=') ? TokenKind::kSlashAssign : TokenKind::kSlash));
+        push(match('=') ? TokenKind::kSlashAssign : TokenKind::kSlash);
         break;
       case '%':
-        tokens_.push_back(
-            make(match('=') ? TokenKind::kPercentAssign : TokenKind::kPercent));
+        push(match('=') ? TokenKind::kPercentAssign : TokenKind::kPercent);
         break;
       case '&':
-        if (match('&')) tokens_.push_back(make(TokenKind::kAmpAmp));
-        else if (match('=')) tokens_.push_back(make(TokenKind::kAmpAssign));
-        else tokens_.push_back(make(TokenKind::kAmp));
+        if (match('&')) push(TokenKind::kAmpAmp);
+        else if (match('=')) push(TokenKind::kAmpAssign);
+        else push(TokenKind::kAmp);
         break;
       case '|':
-        if (match('|')) tokens_.push_back(make(TokenKind::kPipePipe));
-        else if (match('=')) tokens_.push_back(make(TokenKind::kPipeAssign));
-        else tokens_.push_back(make(TokenKind::kPipe));
+        if (match('|')) push(TokenKind::kPipePipe);
+        else if (match('=')) push(TokenKind::kPipeAssign);
+        else push(TokenKind::kPipe);
         break;
       case '^':
-        tokens_.push_back(make(match('=') ? TokenKind::kCaretAssign : TokenKind::kCaret));
+        push(match('=') ? TokenKind::kCaretAssign : TokenKind::kCaret);
         break;
       case '!':
-        tokens_.push_back(make(match('=') ? TokenKind::kNe : TokenKind::kBang));
+        push(match('=') ? TokenKind::kNe : TokenKind::kBang);
         break;
       case '=':
-        tokens_.push_back(make(match('=') ? TokenKind::kEq : TokenKind::kAssign));
+        push(match('=') ? TokenKind::kEq : TokenKind::kAssign);
         break;
       case '<':
         if (match('<')) {
-          tokens_.push_back(make(match('=') ? TokenKind::kShlAssign : TokenKind::kShl));
+          push(match('=') ? TokenKind::kShlAssign : TokenKind::kShl);
         } else {
-          tokens_.push_back(make(match('=') ? TokenKind::kLe : TokenKind::kLt));
+          push(match('=') ? TokenKind::kLe : TokenKind::kLt);
         }
         break;
       case '>':
         if (match('>')) {
-          tokens_.push_back(make(match('=') ? TokenKind::kShrAssign : TokenKind::kShr));
+          push(match('=') ? TokenKind::kShrAssign : TokenKind::kShr);
         } else {
-          tokens_.push_back(make(match('=') ? TokenKind::kGe : TokenKind::kGt));
+          push(match('=') ? TokenKind::kGe : TokenKind::kGt);
         }
         break;
       default:
@@ -418,9 +578,10 @@ class ChunkLexer {
   SourceLoc committed_loc_;
   SourceLoc token_start_{};
   detail::LexMode mode_;
+  bool line_start_;  // only blanks since the last '\n': a '#' opens a # line
+  bool committed_line_start_;
   bool final_;
-  bool suspended_ = false;
-  std::vector<Token> tokens_;
+  std::vector<Token>& tokens_;
   std::optional<common::Error> error_;
 };
 
@@ -428,8 +589,13 @@ class ChunkLexer {
 
 namespace detail {
 
-ChunkLex lex_chunk(std::string_view text, SourceLoc loc, LexMode mode, bool final) {
-  return ChunkLexer(text, loc, mode, final).run();
+ChunkLex lex_chunk(std::string_view text, LexState state, bool final,
+                   std::vector<Token>& tokens) {
+  // Real sources run at ~0.3 tokens per byte; grow geometrically so a long
+  // run of small chunks stays linear.
+  const std::size_t need = tokens.size() + text.size() / 3 + 16;
+  if (tokens.capacity() < need) tokens.reserve(std::max(need, 2 * tokens.capacity()));
+  return ChunkLexer(text, state, final, tokens).run();
 }
 
 }  // namespace detail
@@ -437,13 +603,13 @@ ChunkLex lex_chunk(std::string_view text, SourceLoc loc, LexMode mode, bool fina
 Lexer::Lexer(std::string source) : src_(std::move(source)) {}
 
 common::Result<std::vector<Token>> Lexer::tokenize() {
-  auto out = detail::lex_chunk(src_, SourceLoc{}, detail::LexMode::kNormal, true);
+  std::vector<Token> tokens;
+  const auto out = detail::lex_chunk(src_, detail::LexState{}, true, tokens);
   if (out.error.has_value()) return *out.error;
-  Token eof;
+  Token& eof = tokens.emplace_back();
   eof.kind = TokenKind::kEof;
-  eof.loc = out.loc;
-  out.tokens.push_back(eof);
-  return std::move(out.tokens);
+  eof.loc = out.state.loc;
+  return tokens;
 }
 
 }  // namespace repro::clfront

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,8 +50,9 @@ std::optional<Type> builtin_constant_type(const std::string& name) {
 
 /// Return type encoded in convert_*/as_* builtins ("convert_float4" etc).
 std::optional<Type> conversion_target(const std::string& callee) {
-  if (callee.rfind("convert_", 0) == 0) return parse_type_name(callee.substr(8));
-  if (callee.rfind("as_", 0) == 0) return parse_type_name(callee.substr(3));
+  const std::string_view name(callee);
+  if (name.starts_with("convert_")) return parse_type_name(name.substr(8));
+  if (name.starts_with("as_")) return parse_type_name(name.substr(3));
   return std::nullopt;
 }
 

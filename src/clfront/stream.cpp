@@ -1,71 +1,11 @@
 #include "clfront/stream.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "clfront/parser.hpp"
 
 namespace repro::clfront {
-
-namespace {
-
-/// Collapse one lowered function into its feature summary: local
-/// width-weighted counts plus the callee of every kCall site in instruction
-/// order. Counts are sums of integer widths — exact in binary64 — so adding
-/// them per-function first and across calls later reproduces the
-/// whole-module accumulation of extract_features bit for bit.
-FunctionSummary summarize(const IrFunction& ir) {
-  FunctionSummary summary;
-  summary.name = ir.name;
-  summary.is_kernel = ir.is_kernel;
-  for (const auto& inst : ir.body) {
-    if (const auto f = feature_index(inst.op)) {
-      summary.counts[static_cast<std::size_t>(*f)] += static_cast<double>(inst.width);
-    } else if (inst.op == Opcode::kCall) {
-      summary.calls.push_back(inst.detail);
-    }
-  }
-  return summary;
-}
-
-const FunctionSummary* find_summary(const std::vector<FunctionSummary>& all,
-                                    const std::string& name) {
-  for (const auto& s : all) {
-    if (s.name == name) return &s;  // first definition wins, like IrModule::find
-  }
-  return nullptr;
-}
-
-/// The summary-level twin of features.cpp's accumulate(): same call order,
-/// same cycle guard, same depth budget, same error messages.
-common::Status accumulate_summary(const std::vector<FunctionSummary>& all,
-                                  const FunctionSummary& fn,
-                                  std::array<double, kNumFeatures>& counts,
-                                  std::set<std::string>& call_chain) {
-  if (call_chain.size() >= kMaxCallDepth) {
-    return common::internal_error("call chain exceeds the depth budget of " +
-                                  std::to_string(kMaxCallDepth) + " at '" + fn.name +
-                                  "'");
-  }
-  if (!call_chain.insert(fn.name).second) {
-    return common::internal_error("recursive call chain through '" + fn.name + "'");
-  }
-  for (std::size_t i = 0; i < kNumFeatures; ++i) counts[i] += fn.counts[i];
-  for (const auto& callee_name : fn.calls) {
-    const FunctionSummary* callee = find_summary(all, callee_name);
-    if (callee == nullptr) {
-      return common::not_found("callee '" + callee_name + "' not in module");
-    }
-    if (auto st = accumulate_summary(all, *callee, counts, call_chain); !st.ok()) {
-      return st;
-    }
-  }
-  call_chain.erase(fn.name);
-  return common::Status::Ok();
-}
-
-}  // namespace
 
 SourceFeeder::SourceFeeder(StreamOptions options) : options_(options) {}
 
@@ -83,15 +23,16 @@ common::Status SourceFeeder::feed(std::string_view chunk) {
 
   pending_.append(chunk);
   peak_pending_bytes_ = std::max(peak_pending_bytes_, pending_.size());
-  auto out = detail::lex_chunk(pending_, loc_, mode_, /*final=*/false);
+  const std::size_t first_new = tokens_.size();
+  auto out = detail::lex_chunk(pending_, lex_state_, /*final=*/false, tokens_);
   pending_.erase(0, out.consumed);
-  loc_ = out.loc;
-  mode_ = out.mode;
+  lex_state_ = out.state;
   if (out.error.has_value()) {
     lex_error_ = std::move(out.error);
+    tokens_.clear();
     return *lex_error_;
   }
-  ingest(std::move(out.tokens));
+  ingest(first_new);
   return common::Status::Ok();
 }
 
@@ -105,13 +46,13 @@ common::Status SourceFeeder::finish() {
   // Drain the pending tail (final = true: the last token commits, and an
   // unterminated block comment is now an error, as in one-shot lexing).
   if (!lex_error_.has_value()) {
-    auto out = detail::lex_chunk(pending_, loc_, mode_, /*final=*/true);
-    loc_ = out.loc;
-    mode_ = out.mode;
+    const std::size_t first_new = tokens_.size();
+    auto out = detail::lex_chunk(pending_, lex_state_, /*final=*/true, tokens_);
+    lex_state_ = out.state;
     if (out.error.has_value()) {
       lex_error_ = std::move(out.error);
     } else {
-      ingest(std::move(out.tokens));
+      ingest(first_new);
     }
   }
   pending_.clear();
@@ -120,10 +61,11 @@ common::Status SourceFeeder::finish() {
   // Tokens that never reached a balanced top-level '}' — an unterminated
   // function or trailing garbage. Parse them so the verdict (and message)
   // matches what the whole-string parser would say.
-  if (!lex_error_.has_value() && !parse_error_.has_value() && !fn_tokens_.empty()) {
-    complete_function(std::move(fn_tokens_));
-    fn_tokens_.clear();
+  if (!lex_error_.has_value() && !parse_error_.has_value() && !tokens_.empty()) {
+    complete_function(tokens_);
   }
+  tokens_.clear();
+  tokens_.shrink_to_fit();
 
   // Settle the verdict with whole-string precedence: lexing runs first over
   // the entire input, then parsing, then lowering in declaration order.
@@ -167,34 +109,39 @@ common::Status SourceFeeder::finish() {
                                   : common::Status::Ok();
 }
 
-void SourceFeeder::ingest(std::vector<Token> tokens) {
-  for (auto& token : tokens) {
-    // After a parse error the verdict is fixed; tokens are only scanned (for
-    // lexical errors, found by the lexer itself), never stored.
-    if (parse_error_.has_value()) return;
-    const TokenKind kind = token.kind;
-    fn_tokens_.push_back(std::move(token));
+void SourceFeeder::ingest(std::size_t first_new) {
+  // After a parse error the verdict is fixed; tokens are only scanned (for
+  // lexical errors, found by the lexer itself), never kept.
+  if (parse_error_.has_value()) {
+    tokens_.clear();
+    return;
+  }
+  std::size_t fn_start = 0;
+  for (std::size_t i = first_new; i < tokens_.size(); ++i) {
+    const TokenKind kind = tokens_[i].kind;
     if (kind == TokenKind::kLBrace) {
       ++brace_depth_;
     } else if (kind == TokenKind::kRBrace && brace_depth_ > 0) {
       if (--brace_depth_ == 0) {
         // A top-level function just closed: parse + lower + summarize it
-        // now and release its tokens — the core of the bounded-memory
-        // contract.
-        std::vector<Token> fn_tokens = std::move(fn_tokens_);
-        fn_tokens_ = {};
-        complete_function(std::move(fn_tokens));
+        // now, straight from the lexer's vector — the core of the
+        // bounded-memory contract.
+        const std::span<const Token> all(tokens_);
+        complete_function(all.subspan(fn_start, i + 1 - fn_start));
+        if (parse_error_.has_value()) {
+          tokens_.clear();
+          return;
+        }
+        fn_start = i + 1;
       }
     }
   }
+  // Release the finished functions' tokens; the open one's carry over.
+  tokens_.erase(tokens_.begin(), tokens_.begin() + static_cast<std::ptrdiff_t>(fn_start));
 }
 
-void SourceFeeder::complete_function(std::vector<Token> tokens) {
-  Token eof;
-  eof.kind = TokenKind::kEof;
-  eof.loc = loc_;
-  tokens.push_back(std::move(eof));
-  Parser parser(std::move(tokens));
+void SourceFeeder::complete_function(std::span<const Token> tokens) {
+  Parser parser(tokens, lex_state_.loc);
   auto unit = parser.parse_translation_unit();
   if (!unit.ok()) {
     parse_error_ = unit.error();
@@ -227,24 +174,7 @@ common::Result<StaticFeatures> SourceFeeder::features(const std::string& kernel)
     return common::invalid_argument("SourceFeeder: features() before finish()");
   }
   if (final_error_.has_value()) return *final_error_;
-  const FunctionSummary* target = nullptr;
-  if (kernel.empty()) {
-    for (const auto& s : resolved_) {
-      if (s.is_kernel) {
-        target = &s;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      return common::not_found("module contains no kernel function");
-    }
-  } else {
-    target = find_summary(resolved_, kernel);
-    if (target == nullptr) {
-      return common::not_found("kernel '" + kernel + "' not in module");
-    }
-  }
-  return resolve(*target);
+  return CallResolver(resolved_).features(kernel);
 }
 
 common::Result<std::vector<StaticFeatures>> SourceFeeder::kernel_features() const {
@@ -252,26 +182,15 @@ common::Result<std::vector<StaticFeatures>> SourceFeeder::kernel_features() cons
     return common::invalid_argument("SourceFeeder: kernel_features() before finish()");
   }
   if (final_error_.has_value()) return *final_error_;
+  CallResolver resolver(resolved_);
   std::vector<StaticFeatures> out;
   for (const auto& s : resolved_) {
     if (!s.is_kernel) continue;
-    auto features = resolve(s);
+    auto features = resolver.resolve(s);
     if (!features.ok()) return features.error();
     out.push_back(std::move(features).take());
   }
   return out;
-}
-
-common::Result<StaticFeatures> SourceFeeder::resolve(
-    const FunctionSummary& target) const {
-  StaticFeatures features;
-  features.kernel_name = target.name;
-  std::set<std::string> chain;
-  if (auto st = accumulate_summary(resolved_, target, features.counts, chain);
-      !st.ok()) {
-    return st.error();
-  }
-  return features;
 }
 
 common::Result<StaticFeatures> extract_features_chunked(std::string_view source,

@@ -16,23 +16,22 @@
 //    function is parsed, lowered, and collapsed into a FunctionSummary (10
 //    local feature counts + the ordered callee list) the moment its closing
 //    brace arrives — tokens, AST, and IR never outlive the function;
-//  * cross-function call resolution (the static analogue of inlining that
-//    extract_features performs over the whole IrModule) runs over the
-//    summaries at finish(), when every signature has been seen. A function
-//    whose callee is not yet defined (a forward reference) keeps its AST
-//    until finish() — the only case that buffers more than one function.
+//  * cross-function call resolution (CallResolver, shared with
+//    extract_features) runs over the summaries once features are asked
+//    for, after finish() has seen every signature. A function whose callee
+//    is not yet defined (a forward reference) keeps its AST until finish()
+//    — the only case that buffers more than one function.
 //
 // Why the result is bit-identical: feature counts are sums of integer
-// instruction widths, exact in binary64 far beyond any real source size, so
-// summing per-function first and across calls later reproduces the
-// interleaved whole-module accumulation exactly. Error reporting keeps the
-// whole-string precedence (first lexical error, else first parse error,
-// else first lowering error in declaration order).
+// instruction widths, exact in binary64 below 2^53 (CallResolver refuses
+// larger totals), so the chunking cannot change a count. Error reporting
+// keeps the whole-string precedence (first lexical error, else first parse
+// error, else first lowering error in declaration order).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,16 +49,6 @@ struct StreamOptions {
   /// serving path from unbounded request bodies. (The recursion budgets are
   /// kMaxNestingDepth in parser.hpp and kMaxCallDepth in features.hpp.)
   std::size_t max_source_bytes = 64u << 20;
-};
-
-/// Per-kernel/per-function feature accumulator, finalized at function end:
-/// the local width-weighted counts plus every user-call site in instruction
-/// order. Cross-function resolution happens over these, not over IR.
-struct FunctionSummary {
-  std::string name;
-  bool is_kernel = false;
-  std::array<double, kNumFeatures> counts{};
-  std::vector<std::string> calls;
 };
 
 class SourceFeeder {
@@ -103,16 +92,16 @@ class SourceFeeder {
     std::optional<common::Error> error;
   };
 
-  void ingest(std::vector<Token> tokens);
-  void complete_function(std::vector<Token> tokens);
+  void ingest(std::size_t first_new);
+  void complete_function(std::span<const Token> tokens);
   void absorb_function(FunctionDecl fn);
-  common::Result<StaticFeatures> resolve(const FunctionSummary& target) const;
 
   StreamOptions options_;
   std::string pending_;
-  SourceLoc loc_{};
-  detail::LexMode mode_ = detail::LexMode::kNormal;
-  std::vector<Token> fn_tokens_;
+  detail::LexState lex_state_;
+  // Tokens lexed but not yet parsed: the open function's, then the latest
+  // pass's. Closed functions are parsed in place and erased after the pass.
+  std::vector<Token> tokens_;
   int brace_depth_ = 0;
   LowerSession session_;
   std::vector<Outcome> outcomes_;

@@ -1,7 +1,8 @@
 #include "clfront/types.hpp"
 
-#include <array>
-#include <utility>
+#include <algorithm>
+
+#include "clfront/token.hpp"
 
 namespace repro::clfront {
 
@@ -46,41 +47,8 @@ std::string Type::to_string() const {
   return s;
 }
 
-std::optional<Type> parse_type_name(const std::string& name) noexcept {
-  static constexpr std::array<std::pair<const char*, ScalarKind>, 13> kScalars = {{
-      {"void", ScalarKind::kVoid},
-      {"bool", ScalarKind::kBool},
-      {"char", ScalarKind::kChar},
-      {"uchar", ScalarKind::kUChar},
-      {"short", ScalarKind::kShort},
-      {"ushort", ScalarKind::kUShort},
-      {"int", ScalarKind::kInt},
-      {"uint", ScalarKind::kUInt},
-      {"long", ScalarKind::kLong},
-      {"ulong", ScalarKind::kULong},
-      {"float", ScalarKind::kFloat},
-      {"double", ScalarKind::kDouble},
-      {"half", ScalarKind::kHalf},
-  }};
-  if (name == "size_t") return Type{ScalarKind::kULong, 1, false, AddressSpace::kPrivate};
-  if (name == "unsigned") return Type::uint_type();
-  for (const auto& [base, kind] : kScalars) {
-    const std::string base_s(base);
-    if (name == base_s) return Type{kind, 1, false, AddressSpace::kPrivate};
-    if (name.size() > base_s.size() && name.compare(0, base_s.size(), base_s) == 0) {
-      const std::string suffix = name.substr(base_s.size());
-      int width = 0;
-      if (suffix == "2") width = 2;
-      else if (suffix == "3") width = 3;
-      else if (suffix == "4") width = 4;
-      else if (suffix == "8") width = 8;
-      else if (suffix == "16") width = 16;
-      if (width != 0 && kind != ScalarKind::kVoid && kind != ScalarKind::kBool) {
-        return Type{kind, width, false, AddressSpace::kPrivate};
-      }
-    }
-  }
-  return std::nullopt;
+std::optional<Type> parse_type_name(std::string_view name) noexcept {
+  return classify_word(name).type;
 }
 
 namespace {

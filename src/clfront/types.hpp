@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace repro::clfront {
 
@@ -77,8 +78,9 @@ struct Type {
 [[nodiscard]] const char* address_space_name(AddressSpace space) noexcept;
 
 /// Parse a type name like "float4", "uint", "size_t". Returns nullopt for
-/// non-type identifiers.
-[[nodiscard]] std::optional<Type> parse_type_name(const std::string& name) noexcept;
+/// non-type identifiers. The lexer stores the same answer on every token
+/// (Token::type), both read from one spelling table.
+[[nodiscard]] std::optional<Type> parse_type_name(std::string_view name) noexcept;
 
 /// Usual arithmetic conversion of two operand types (float wins over int,
 /// wider vector wins over scalar, double over float).

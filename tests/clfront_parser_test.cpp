@@ -1,8 +1,9 @@
 // Parser tests: declarations, statements, expressions, OpenCL qualifiers,
-// vector literals and syntax-error reporting.
+// vector literals and syntax-error reporting (golden messages included).
 #include <gtest/gtest.h>
 
 #include "clfront/parser.hpp"
+#include "clfront/stream.hpp"
 
 namespace rc = repro::clfront;
 
@@ -200,4 +201,106 @@ TEST(TypeNameTest, PromotionRules) {
 TEST(TypeNameTest, TypeToString) {
   rc::Type t = rc::Type::float_type().with_width(4).as_pointer(rc::AddressSpace::kGlobal);
   EXPECT_EQ(t.to_string(), "global float4*");
+}
+
+// --- golden error messages: the full text of every parser diagnostic ---------
+
+TEST(ParserErrorTest, GoldenMessages) {
+  // One source per expect() label, plus the other diagnostics; the whole
+  // message is pinned, and the streamed path must say exactly the same.
+  const struct Case {
+    const char* source;
+    const char* message;
+  } cases[] = {
+      {"kernel void 1() {}",
+       "line 1:13: expected identifier (function name), got '1'"},
+      {"kernel void k {}",
+       "line 1:15: expected ( (parameter list), got '{'"},
+      {"kernel void k(global float*) {}",
+       "line 1:28: expected identifier (parameter name), got ')'"},
+      {"kernel void k(int a; {}",
+       "line 1:20: expected ) (end of parameter list), got ';'"},
+      {"kernel void k() ;",
+       "line 1:17: expected { (block), got ';'"},
+      {"kernel void k() {",
+       "line 1:18: expected } (end of block), got '<eof>'"},
+      {"kernel void k() { if 1) {} }",
+       "line 1:22: expected ( (if condition), got '1'"},
+      {"kernel void k() { if (1 {} }",
+       "line 1:25: expected ) (end of if condition), got '{'"},
+      {"kernel void k() { for ;;) {} }",
+       "line 1:23: expected ( (for header), got ';'"},
+      {"kernel void k() { int i; for (i = 0 i < 4; i++) {} }",
+       "line 1:37: expected ; (after for-init), got 'i'"},
+      {"kernel void k() { for (int i = 0; i < 4 i++) {} }",
+       "line 1:41: expected ; (after for-condition), got 'i'"},
+      {"kernel void k() { for (int i = 0; i < 4; i++ {} }",
+       "line 1:46: expected ) (end of for header), got '{'"},
+      {"kernel void k() { while 1) {} }",
+       "line 1:25: expected ( (while condition), got '1'"},
+      {"kernel void k() { while (1 {} }",
+       "line 1:28: expected ) (end of while condition), got '{'"},
+      {"kernel void k() { do {} while 1); }",
+       "line 1:31: expected ( (do-while condition), got '1'"},
+      {"kernel void k() { do {} while (1; }",
+       "line 1:33: expected ) (end of do-while condition), got ';'"},
+      {"kernel void k() { do {} while (1) }",
+       "line 1:35: expected ; (after do-while), got '}'"},
+      {"kernel void k() { return 1 }",
+       "line 1:28: expected ; (after return), got '}'"},
+      {"kernel void k() { for (;;) { break } }",
+       "line 1:36: expected ; (after break), got '}'"},
+      {"kernel void k() { for (;;) { continue } }",
+       "line 1:39: expected ; (after continue), got '}'"},
+      {"kernel void k() { int a; a = 1 }",
+       "line 1:32: expected ; (after expression statement), got '}'"},
+      {"kernel void k() { int 1; }",
+       "line 1:23: expected identifier (variable name), got '1'"},
+      {"kernel void k() { int a[n]; }",
+       "line 1:25: expected integer literal (array size), got 'n'"},
+      {"kernel void k() { int a[4; }",
+       "line 1:26: expected ] (end of array size), got ';'"},
+      {"kernel void k() { int a = 1 }",
+       "line 1:29: expected ; (after declaration), got '}'"},
+      {"kernel void k() { int a = 1 ? 2 3; }",
+       "line 1:33: expected : (conditional expression), got '3'"},
+      {"kernel void k() { int a = (int 1; }",
+       "line 1:32: expected ) (end of cast), got '1'"},
+      {"kernel void k() { float4 a = (float4)(1, 2; }",
+       "line 1:43: expected ) (end of vector literal), got ';'"},
+      {"kernel void k(global int* x) { x[0 = 1; }",
+       "line 1:39: expected ] (array subscript), got ';'"},
+      {"kernel void k() { float4 v; v.( = 0; }",
+       "line 1:31: expected identifier (member name), got '('"},
+      {"kernel void k() { int a = (1; }",
+       "line 1:29: expected ) (closing parenthesis), got ';'"},
+      {"kernel void k() { float4 a = float4(1, 2; }",
+       "line 1:41: expected ) (end of constructor), got ';'"},
+      {"kernel void k() { int a = min(1, 2; }",
+       "line 1:35: expected ) (end of call), got ';'"},
+      {"kernel banana k() {}",
+       "line 1:8: expected type name, got 'banana'"},
+      {"kernel void k(global *p) {}",
+       "line 1:22: expected type name"},
+      {"kernel void k(global ) {}",
+       "line 1:22: expected type name"},
+      {"kernel void k() { do {} until (1); }",
+       "line 1:25: expected 'while' after do-body"},
+      {"kernel void k() { int a = * ; }",
+       "line 1:27: expected expression, got '*'"},
+      {"kernel void k() { int a = if; }",
+       "line 1:27: expected expression, got 'if'"},
+      {"kernel void k() { int a = b c; }",
+       "line 1:29: expected ; (after declaration), got 'c'"},
+  };
+  for (const auto& c : cases) {
+    const auto result = rc::parse_opencl(c.source);
+    ASSERT_FALSE(result.ok()) << c.source;
+    EXPECT_EQ(result.error().message, c.message);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+      const auto streamed = rc::extract_features_chunked(c.source, chunk);
+      ASSERT_FALSE(streamed.ok()) << c.source;
+      EXPECT_EQ(streamed.error().message, c.message) << "chunk=" << chunk;
+    }
+  }
 }

@@ -4,13 +4,20 @@
 // the same errors as the whole-string path (extract_features_from_source).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "clfront/features.hpp"
 #include "clfront/parser.hpp"
 #include "clfront/stream.hpp"
+#include "common/rng.hpp"
 
 namespace rcl = repro::clfront;
 namespace rc = repro::common;
@@ -224,4 +231,228 @@ TEST(ParserDepthBudgetTest, ModerateNestingStillParses) {
                              std::string(depth, '(') + "1.0f" +
                              std::string(depth, ')') + "; }";
   EXPECT_TRUE(rcl::extract_features_from_source(source).ok());
+}
+
+// --- preprocessor lines the lexer must skip, at every chunk size -------------
+
+namespace {
+
+/// Featurize `source` whole and at every chunk size from 1 to its length;
+/// every run must succeed with bit-identical features.
+rcl::StaticFeatures featurize_at_every_chunk_size(const std::string& source) {
+  const auto whole = rcl::extract_features_from_source(source);
+  EXPECT_TRUE(whole.ok()) << whole.error().message;
+  if (!whole.ok()) return {};
+  for (std::size_t chunk = 1; chunk <= source.size(); ++chunk) {
+    const auto streamed = rcl::extract_features_chunked(source, chunk);
+    EXPECT_TRUE(streamed.ok()) << "chunk=" << chunk << ": " << streamed.error().message;
+    if (!streamed.ok()) break;
+    EXPECT_TRUE(features_bitwise_equal(whole.value(), streamed.value()))
+        << "chunk=" << chunk;
+  }
+  return whole.value();
+}
+
+}  // namespace
+
+TEST(SourceFeederTest, IndentedPragmaInLoopBody) {
+  const std::string source =
+      "kernel void k(global float* x) {\n"
+      "  #pragma unroll\n"
+      "  for (int i = 0; i < 4; i++) {\n"
+      "    #pragma unroll 2\n"
+      "    x[i] = x[i] * 2.0f;\n"
+      "  }\n"
+      "}\n";
+  const auto features = featurize_at_every_chunk_size(source);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kFloatMul), 1.0);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kGlAccess), 2.0);
+}
+
+TEST(SourceFeederTest, BackslashContinuedDefine) {
+  const std::string source =
+      "#define N \\\n"
+      "  16\n"
+      "#define SCALE(v) \\\r\n"
+      "  ((v) * 2.0f)\n"
+      "kernel void k(global float* x) { x[0] = x[1] * 3.0f; }\n";
+  const auto features = featurize_at_every_chunk_size(source);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kFloatMul), 1.0);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kGlAccess), 2.0);
+}
+
+// --- call resolution: each call tree is summed once --------------------------
+
+namespace {
+
+/// f0 multiplies once; f_i calls f_{i-1} twice and adds the results, so the
+/// kernel's call tree holds 2^depth multiplies and 2^depth - 1 adds.
+std::string doubling_chain(int depth) {
+  std::string source = "float f0(float v) { return v * 2.0f; }\n";
+  for (int i = 1; i <= depth; ++i) {
+    const std::string prev = "f" + std::to_string(i - 1);
+    source += "float f" + std::to_string(i) + "(float v) { return " + prev + "(v) + " +
+              prev + "(v); }\n";
+  }
+  source += "kernel void k(global float* x) { x[0] = f" + std::to_string(depth) +
+            "(x[0]); }\n";
+  return source;
+}
+
+/// The plain walk call resolution must agree with: re-expand every call
+/// site, depth-first, with a chain of names for cycles and the depth budget.
+rc::Status plain_walk(const std::vector<rcl::FunctionSummary>& all,
+                      const rcl::FunctionSummary& fn,
+                      std::array<double, rcl::kNumFeatures>& counts,
+                      std::set<std::string>& chain) {
+  if (chain.size() >= rcl::kMaxCallDepth) {
+    return rc::internal_error("call chain exceeds the depth budget of " +
+                              std::to_string(rcl::kMaxCallDepth) + " at '" + fn.name +
+                              "'");
+  }
+  if (!chain.insert(fn.name).second) {
+    return rc::internal_error("recursive call chain through '" + fn.name + "'");
+  }
+  for (std::size_t i = 0; i < rcl::kNumFeatures; ++i) counts[i] += fn.counts[i];
+  for (const auto& callee_name : fn.calls) {
+    const auto it = std::find_if(all.begin(), all.end(), [&](const auto& s) {
+      return s.name == callee_name;
+    });
+    if (it == all.end()) {
+      return rc::not_found("callee '" + callee_name + "' not in module");
+    }
+    if (auto st = plain_walk(all, *it, counts, chain); !st.ok()) return st;
+  }
+  chain.erase(fn.name);
+  return rc::Status::Ok();
+}
+
+/// "ok <counts>" or "<code> <message>", for comparing two resolutions.
+std::string outcome(const rc::Result<rcl::StaticFeatures>& r) {
+  if (!r.ok()) {
+    return std::to_string(static_cast<int>(r.error().code)) + " " + r.error().message;
+  }
+  return "ok " + r.value().to_string();
+}
+
+}  // namespace
+
+TEST(CallResolutionTest, DoublingCallChainIsLinear) {
+  constexpr int kDepth = 40;
+  const std::string source = doubling_chain(kDepth);
+  const double calls = std::ldexp(1.0, kDepth);  // 2^40
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{64}}) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto features = chunk == 0 ? rcl::extract_features_from_source(source)
+                                     : rcl::extract_features_chunked(source, chunk);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_TRUE(features.ok()) << features.error().message;
+    EXPECT_LT(seconds, 1.0) << "chunk=" << chunk;
+    const auto& f = features.value();
+    EXPECT_EQ(f.kernel_name, "k");
+    EXPECT_EQ(f.count(rcl::FeatureIndex::kFloatMul), calls);
+    EXPECT_EQ(f.count(rcl::FeatureIndex::kFloatAdd), calls - 1.0);
+    EXPECT_EQ(f.count(rcl::FeatureIndex::kGlAccess), 2.0);
+    EXPECT_EQ(f.total(), 2.0 * calls + 1.0);
+  }
+}
+
+TEST(CallResolutionTest, CountsPast2To53AreRefused) {
+  // 2^53 multiplies: the first count binary64 sums can no longer keep exact.
+  const std::string source = doubling_chain(53);
+  const auto whole = rcl::extract_features_from_source(source);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_EQ(whole.error().code, rc::ErrorCode::kParseError);
+  EXPECT_EQ(whole.error().message,
+            "feature counts of 'k' reach 2^53, past exact binary64 sums");
+  const auto streamed = rcl::extract_features_chunked(source, 97);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.error().message, whole.error().message);
+  // One level less stays exact.
+  const auto below = rcl::extract_features_from_source(doubling_chain(52));
+  ASSERT_TRUE(below.ok()) << below.error().message;
+  EXPECT_EQ(below.value().count(rcl::FeatureIndex::kFloatMul), std::ldexp(1.0, 52));
+}
+
+TEST(CallResolutionTest, DepthBudgetIsReportedWhereThePlainWalkMeetsIt) {
+  // k calls c100 (a 100-deep chain, resolved and memoized first), then
+  // reaches c100 again under a 200-deep chain: the budget runs out inside
+  // c100's known call tree, at the function the plain walk would enter.
+  std::string source = "float c0(float v) { return v * 2.0f; }\n";
+  for (int i = 1; i <= 100; ++i) {
+    source += "float c" + std::to_string(i) + "(float v) { return c" +
+              std::to_string(i - 1) + "(v) + 1.0f; }\n";
+  }
+  source += "float d199(float v) { return c100(v); }\n";
+  for (int i = 198; i >= 0; --i) {
+    source += "float d" + std::to_string(i) + "(float v) { return d" +
+              std::to_string(i + 1) + "(v); }\n";
+  }
+  source += "kernel void k(global float* x) { x[0] = c100(x[0]) + d0(x[0]); }\n";
+  const auto whole = rcl::extract_features_from_source(source);
+  ASSERT_FALSE(whole.ok());
+  // k is entered at depth 0, d0..d199 at 1..200, c100 at 201: depth 256 is
+  // c45.
+  EXPECT_EQ(whole.error().message, "call chain exceeds the depth budget of 256 at 'c45'");
+  const auto streamed = rcl::extract_features_chunked(source, 113);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.error().message, whole.error().message);
+}
+
+TEST(CallResolutionTest, MatchesThePlainWalkOnRandomCallGraphs) {
+  // Chains past the depth budget, cycles, missing callees, redefinitions
+  // and shared subtrees; every function resolved as a target both with a
+  // fresh resolver and with one shared across targets (and past errors).
+  std::map<std::string, int> seen;  // outcome kinds, to prove coverage
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    rc::Xoshiro256 rng(seed);
+    const std::size_t n = 260 + rng.uniform_index(300);
+    std::vector<rcl::FunctionSummary> all(n + n / 20);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      auto& fn = all[i];
+      // g0 .. g{n-1}, then redefinitions of some of those names.
+      fn.name = "g" + std::to_string(i < n ? i : rng.uniform_index(n));
+      fn.is_kernel = rng.uniform_index(4) == 0;
+      for (auto& c : fn.counts) c = static_cast<double>(rng.uniform_index(3));
+      if (i > 0 && i < n && rng.uniform_index(1000) != 0) {
+        fn.calls.push_back("g" + std::to_string(i - 1));  // long chains
+      }
+      if (i >= n || rng.uniform_index(300) == 0) {
+        fn.calls.push_back("g" + std::to_string(rng.uniform_index(n)));  // maybe a cycle
+      }
+      if (i > 0 && rng.uniform_index(60) == 0) {
+        // A shared subtree.
+        fn.calls.push_back("g" + std::to_string(rng.uniform_index(std::min(i, n))));
+      }
+      if (rng.uniform_index(400) == 0) fn.calls.push_back("nosuch");
+    }
+    rcl::CallResolver shared(all);
+    for (const auto& target : all) {
+      rcl::StaticFeatures expected;
+      expected.kernel_name = target.name;
+      std::set<std::string> chain;
+      const auto st = plain_walk(all, target, expected.counts, chain);
+      const rc::Result<rcl::StaticFeatures> reference =
+          st.ok() ? rc::Result<rcl::StaticFeatures>(expected)
+                  : rc::Result<rcl::StaticFeatures>(st.error());
+      const auto fresh = rcl::CallResolver(all).resolve(target);
+      EXPECT_EQ(outcome(fresh), outcome(reference))
+          << "seed=" << seed << " " << target.name;
+      EXPECT_EQ(outcome(shared.resolve(target)), outcome(reference))
+          << "seed=" << seed << " " << target.name;
+      if (fresh.ok()) {
+        EXPECT_TRUE(features_bitwise_equal(fresh.value(), expected));
+      }
+      const std::string kind = outcome(reference);
+      // "ok", or the message up to the quoted name.
+      const std::size_t from = kind.find(' ') + 1;
+      ++seen[kind.rfind("ok ", 0) == 0 ? "ok"
+                                       : kind.substr(from, kind.find('\'') - from)];
+    }
+  }
+  EXPECT_GT(seen["ok"], 0);
+  EXPECT_GT(seen["callee "], 0);
+  EXPECT_GT(seen["recursive call chain through "], 0);
+  EXPECT_GT(seen["call chain exceeds the depth budget of 256 at "], 0);
 }
