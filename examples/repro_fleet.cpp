@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
 
   std::printf("repro_fleet: %llu connections, %llu requests, "
               "%llu redispatches, %llu backend failures, %llu reconnects; "
-              "%llu spawns, %llu crashes, %llu restarts, %llu chaos kills\n",
+              "%llu spawns, %llu crashes, %llu chaos kills\n",
               static_cast<unsigned long long>(routed.connections),
               static_cast<unsigned long long>(routed.requests),
               static_cast<unsigned long long>(routed.redispatches),
@@ -264,7 +264,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(routed.reconnects),
               static_cast<unsigned long long>(lifecycle.spawns),
               static_cast<unsigned long long>(lifecycle.crashes),
-              static_cast<unsigned long long>(lifecycle.restarts),
               static_cast<unsigned long long>(lifecycle.chaos_kills));
   return 0;
 }

@@ -264,7 +264,7 @@ class ChunkLexer {
       if (c == '#' && line_start_) {
         advance();
         line_start_ = false;
-        mode_ = detail::LexMode::kPreprocessor;
+        mode_ = detail::LexMode::kLine;
         continue;
       }
       line_start_ = false;
@@ -275,7 +275,7 @@ class ChunkLexer {
         if (peek(1) == '/') {
           advance();
           advance();
-          mode_ = detail::LexMode::kLineComment;
+          mode_ = detail::LexMode::kLine;
           continue;
         }
         if (peek(1) == '*') {
@@ -362,23 +362,12 @@ class ChunkLexer {
   /// lexing may proceed; false on suspend (bytes committed, mode saved) or
   /// error.
   bool resume() {
-    if (mode_ == detail::LexMode::kLineComment) {
-      while (!at_end() && peek() != '\n') advance();
-      if (at_end() && !final_) {
-        commit();
-        return false;
-      }
-      // The '\n' (or EOF) ends the construct; the newline itself is left to
-      // the whitespace path, exactly like the one-shot scan.
-      mode_ = detail::LexMode::kNormal;
-      return true;
-    }
-    if (mode_ == detail::LexMode::kPreprocessor ||
-        mode_ == detail::LexMode::kPreprocessorBackslash) {
-      // A backslash right before the newline (a '\r' of a CRLF may sit in
-      // between) continues the line, even across chunks; the first
-      // unescaped '\n' ends it and, as above, is left to the whitespace path.
-      bool backslash = mode_ == detail::LexMode::kPreprocessorBackslash;
+    if (mode_ == detail::LexMode::kLine || mode_ == detail::LexMode::kLineBackslash) {
+      // A // comment or # line. A backslash right before the newline (a '\r'
+      // of a CRLF may sit in between) continues it, even across chunks; the
+      // first unescaped '\n' ends it and is left to the whitespace path,
+      // exactly like the one-shot scan.
+      bool backslash = mode_ == detail::LexMode::kLineBackslash;
       while (!at_end()) {
         const char c = peek();
         if (c == '\n' && !backslash) {
@@ -392,8 +381,7 @@ class ChunkLexer {
         mode_ = detail::LexMode::kNormal;
         return true;
       }
-      mode_ = backslash ? detail::LexMode::kPreprocessorBackslash
-                        : detail::LexMode::kPreprocessor;
+      mode_ = backslash ? detail::LexMode::kLineBackslash : detail::LexMode::kLine;
       commit();
       return false;
     }

@@ -42,9 +42,8 @@ namespace detail {
 /// preprocessor lines whether it was a backslash — survives.
 enum class LexMode : std::uint8_t {
   kNormal,
-  kLineComment,            // inside // …, ends at '\n'
-  kPreprocessor,           // inside a # line, ends at an unescaped '\n'
-  kPreprocessorBackslash,  // inside a # line, previous byte was '\\'
+  kLine,                   // inside a // comment or # line, ends at an unescaped '\n'
+  kLineBackslash,          // inside such a line, previous byte was '\\'
   kBlockComment,           // inside /* …, previous byte was not '*'
   kBlockCommentStar,       // inside /* …, previous byte was '*' ('/' closes)
 };

@@ -78,14 +78,6 @@ std::vector<double> relative_errors_percent(std::span<const double> pred,
   return out;
 }
 
-double rmse_percent(std::span<const double> pred, std::span<const double> truth) {
-  const auto errs = relative_errors_percent(pred, truth);
-  double acc = 0.0;
-  for (double e : errs) acc += e * e;
-  if (errs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return std::sqrt(acc / static_cast<double>(errs.size()));
-}
-
 double r_squared(std::span<const double> pred, std::span<const double> truth) {
   if (pred.size() != truth.size()) throw std::invalid_argument("r_squared: size mismatch");
   const double m = mean(truth);

@@ -27,10 +27,6 @@ namespace repro::common {
 [[nodiscard]] std::vector<double> relative_errors_percent(std::span<const double> pred,
                                                           std::span<const double> truth);
 
-/// RMSE of the *relative percentage* errors — the metric the paper reports
-/// per memory-frequency group in Figs. 6 and 7 ("RMSE = 6.68%").
-[[nodiscard]] double rmse_percent(std::span<const double> pred, std::span<const double> truth);
-
 /// Coefficient of determination.
 [[nodiscard]] double r_squared(std::span<const double> pred, std::span<const double> truth);
 

@@ -1,17 +1,12 @@
 #include "fleet/balancer.hpp"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <future>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -19,25 +14,15 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/log.hpp"
 #include "common/net.hpp"
-#include "common/queue.hpp"
+#include "serve/connection_host.hpp"
 #include "serve/protocol.hpp"
 
 namespace repro::fleet {
 
 namespace {
-
-common::Error errno_error(const std::string& what) {
-  return common::io_error(what + ": " + std::strerror(errno));
-}
-
-bool write_all(int fd, std::string_view data, std::chrono::milliseconds timeout) {
-  return common::net::write_all(fd, data, timeout).status ==
-         common::net::IoStatus::kOk;
-}
 
 struct BackendConn {
   int fd = -1;
@@ -138,18 +123,8 @@ struct Balancer::Impl {
   std::atomic<std::size_t> rr_next{0};
   std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();
 
-  int listen_fd = -1;
-  int bound_tcp_port = -1;
-  std::string bound_unix_path;
-
-  struct Conn {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  std::thread acceptor;
-  std::mutex conn_mutex;
-  std::list<std::unique_ptr<Conn>> conns;
+  serve::PipelineOptions pipeline;
+  std::unique_ptr<serve::ConnectionHost> host;
 
   std::thread maintenance;
   std::atomic<bool> stopping{false};
@@ -175,12 +150,16 @@ struct Balancer::Impl {
   obs::Counter* obs_backend_failures = nullptr;
   obs::Counter* obs_reconnects = nullptr;
 
-  void accept_loop();
+  class Connection;
   void serve_connection(int fd);
-  void reap_finished_locked();
   void maintenance_loop();
+  void count_request();
+  void count_protocol_error();
 
-  void start_reader(Backend& backend);
+  /// Start the backend's reader thread. When no thread can be had the
+  /// connection counts as a failed (re)connect: its fd is closed and the
+  /// backend is left dead for maintenance to retry. False in that case.
+  bool start_reader(Backend& backend);
   void backend_reader(Backend& backend);
   void teardown_backend(Backend& backend);
   Backend* pick_backend(bool need_binary = false);
@@ -194,6 +173,21 @@ struct Balancer::Impl {
   /// entry is reclaimed, the reader is woken to run the teardown, and the
   /// pending promise resolves with a retryable error.
   void send_to_backend(Backend& backend, const PendingPtr& pending);
+  /// Where a sent request went: its id on the backend connection and that
+  /// connection's generation.
+  struct Sent {
+    std::uint64_t id = 0;
+    std::uint64_t generation = 0;
+  };
+  /// Register `pending` on `backend` under a fresh backend id and write the
+  /// bytes `encode(id)` returns. Empty when the backend is dead or the write
+  /// failed; `lost` then says whether the backend's teardown already took
+  /// the entry over (it answers or re-dispatches it — hands off).
+  template <typename Encode>
+  std::optional<Sent> send(Backend& backend, const PendingPtr& pending, bool& lost,
+                           Encode&& encode);
+  /// Write to the backend connection of `generation`; false once it is gone.
+  bool write_to(Backend& backend, std::uint64_t generation, std::string_view bytes);
   /// One bounded round of per-backend "metrics" scrapes, merged with the
   /// balancer's own registry.
   [[nodiscard]] serve::WireMetrics gather_metrics();
@@ -236,66 +230,38 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   }
   for (auto& backend : impl.backends) impl.start_reader(*backend);
 
-  // Client-facing listener (mirrors SocketServer::start).
-  int fd = -1;
-  if (!options.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options.unix_path.size() >= sizeof(addr.sun_path)) {
-      return common::invalid_argument("Balancer: unix path too long: " +
-                                      options.unix_path);
-    }
-    std::strncpy(addr.sun_path, options.unix_path.c_str(), sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return errno_error("Balancer: socket(AF_UNIX)");
-    ::unlink(options.unix_path.c_str());
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      auto err = errno_error("Balancer: bind(" + options.unix_path + ")");
-      ::close(fd);
-      return err;
-    }
-    impl.bound_unix_path = options.unix_path;
-  } else if (options.tcp_port >= 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return errno_error("Balancer: socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(options.tcp_port));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      auto err = errno_error("Balancer: bind(127.0.0.1:" +
-                             std::to_string(options.tcp_port) + ")");
-      ::close(fd);
-      return err;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-      auto err = errno_error("Balancer: getsockname");
-      ::close(fd);
-      return err;
-    }
-    impl.bound_tcp_port = static_cast<int>(ntohs(bound.sin_port));
-  } else {
-    return common::invalid_argument("Balancer: configure either unix_path or tcp_port");
+  impl.pipeline.name = "Balancer";
+  impl.pipeline.max_message_bytes = options.max_line_bytes;
+  impl.pipeline.max_inflight = options.max_inflight;
+  impl.pipeline.write_timeout = options.io_timeout;
+  impl.pipeline.reply_stage = "balancer.reply";
+  impl.pipeline.pool = impl.pool;
+  auto host = serve::ConnectionHost::start(impl.pipeline.name, options.unix_path,
+                                           options.tcp_port,
+                                           [&impl](int fd) { impl.serve_connection(fd); });
+  if (!host.ok()) return host.error();
+  impl.host = std::move(host).take();
+  if (!serve::try_spawn(impl.maintenance, [&impl] { impl.maintenance_loop(); })) {
+    return common::unavailable("Balancer: cannot start the maintenance thread");
   }
-  if (::listen(fd, 64) != 0) {
-    auto err = errno_error("Balancer: listen");
-    ::close(fd);
-    return err;
-  }
-  impl.listen_fd = fd;
-  impl.acceptor = std::thread([&impl] { impl.accept_loop(); });
-  impl.maintenance = std::thread([&impl] { impl.maintenance_loop(); });
   return balancer;
 }
 
 // --- backend side -------------------------------------------------------------
 
-void Balancer::Impl::start_reader(Backend& backend) {
-  backend.reader = std::thread([this, &backend] { backend_reader(backend); });
+bool Balancer::Impl::start_reader(Backend& backend) {
+  if (serve::try_spawn(backend.reader, [this, &backend] { backend_reader(backend); })) {
+    return true;
+  }
+  common::log_warn() << "Balancer: no thread to read backend "
+                     << endpoint_name(backend.endpoint) << "; will reconnect";
+  // Both mutexes: no dispatcher can be mid-write on the fd.
+  std::lock_guard wlock(backend.write_mutex);
+  std::lock_guard slock(backend.state_mutex);
+  backend.alive.store(false, std::memory_order_release);
+  ::close(backend.fd);
+  backend.fd = -1;
+  return false;
 }
 
 void Balancer::Impl::backend_reader(Backend& backend) {
@@ -343,13 +309,7 @@ void Balancer::Impl::backend_reader(Backend& backend) {
       if (!next.value().has_value()) break;  // need more bytes
       const serve::WireMessage& message = *next.value();
 
-      auto response = [&]() -> common::Result<serve::WireResponse> {
-        if (!message.binary) return serve::parse_response(message.payload);
-        if (message.frame != serve::binary::FrameType::kResponse) {
-          return common::parse_error("Balancer: unexpected frame from worker");
-        }
-        return serve::binary::parse_response(message.payload);
-      }();
+      auto response = serve::parse_response(message);
       if (!response.ok()) {
         // A worker speaking gibberish cannot be correlated to a pending
         // entry; drop the connection and let teardown re-dispatch.
@@ -508,102 +468,81 @@ void Balancer::Impl::dispatch(const PendingPtr& pending) {
     obs::stamp(pending->trace, pending->attempts == 1 ? "balancer.dispatch"
                                                       : "balancer.redispatch");
 
-    std::uint64_t backend_id = 0;
-    std::uint64_t generation = 0;
-    {
-      std::lock_guard lock(backend->state_mutex);
-      if (!backend->alive.load(std::memory_order_relaxed)) continue;
-      backend_id = backend->next_id++;
-      generation = backend->generation;
-      backend->pending.emplace(backend_id, pending);
-    }
-    backend->outstanding.fetch_add(1, std::memory_order_relaxed);
-
-    serve::WireRequest request = pending->request;
-    request.id = backend_id;
-    if (request.deadline_ms.has_value()) request.deadline_ms = remaining_ms;
     // Speak the backend's negotiated framing; the request itself is
     // framing-agnostic, so JSON clients ride binary backends and vice versa.
-    std::string line;
-    if (backend->binary.load(std::memory_order_acquire)) {
-      line = serve::binary::format_request_frame(request);
-    } else {
-      line = serve::format_request(request);
-      line.push_back('\n');
-    }
-
-    bool written = false;
-    {
-      // write_mutex serializes concurrent client connections onto the one
-      // backend connection; the generation check keeps a dispatcher that
-      // lost a race with reconnect off the new connection's fd.
-      std::lock_guard wlock(backend->write_mutex);
-      std::lock_guard slock(backend->state_mutex);
-      if (backend->generation == generation && backend->fd >= 0) {
-        written = write_all(backend->fd, line, options.io_timeout);
-      }
-    }
-    if (written) {
+    bool lost = false;
+    const auto sent = send(*backend, pending, lost, [&](std::uint64_t backend_id) {
+      serve::WireRequest request = pending->request;
+      request.id = backend_id;
+      if (request.deadline_ms.has_value()) request.deadline_ms = remaining_ms;
+      std::string line;
+      serve::format_request_into(line,
+                                 backend->binary.load(std::memory_order_acquire)
+                                     ? serve::Framing::kBinary
+                                     : serve::Framing::kJson,
+                                 request);
+      return line;
+    });
+    if (sent.has_value()) {
       backend->routed.fetch_add(1, std::memory_order_relaxed);
       obs_dispatches->inc();
       return;
     }
-    // Write failed (worker died between pick and write). Wake the reader so
-    // teardown runs, reclaim the entry if teardown has not already — if it
-    // has, teardown owns the re-dispatch and this loop must not double it.
-    bool ours = false;
-    {
-      std::lock_guard lock(backend->state_mutex);
-      ours = backend->pending.erase(backend_id) > 0;
-      if (backend->generation == generation && backend->fd >= 0) {
-        ::shutdown(backend->fd, SHUT_RDWR);
-      }
-    }
-    if (!ours) return;
-    backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
+    if (lost) return;  // teardown owns the re-dispatch; must not double it
   }
 }
 
-void Balancer::Impl::send_to_backend(Backend& backend, const PendingPtr& pending) {
-  std::uint64_t backend_id = 0;
-  std::uint64_t generation = 0;
+bool Balancer::Impl::write_to(Backend& backend, std::uint64_t generation,
+                              std::string_view bytes) {
+  // write_mutex serializes concurrent client connections onto the one
+  // backend connection; the generation check keeps a writer that lost a
+  // race with reconnect off the new connection's fd.
+  std::lock_guard wlock(backend.write_mutex);
+  std::lock_guard slock(backend.state_mutex);
+  if (backend.generation != generation || backend.fd < 0) return false;
+  return common::net::write_all(backend.fd, bytes, options.io_timeout).status ==
+         common::net::IoStatus::kOk;
+}
+
+template <typename Encode>
+std::optional<Balancer::Impl::Sent> Balancer::Impl::send(Backend& backend,
+                                                         const PendingPtr& pending,
+                                                         bool& lost, Encode&& encode) {
+  lost = false;
+  Sent sent;
   {
     std::lock_guard lock(backend.state_mutex);
-    if (!backend.alive.load(std::memory_order_relaxed)) {
-      fail_pending(pending, common::unavailable("Balancer: backend not alive"));
-      return;
-    }
-    backend_id = backend.next_id++;
-    generation = backend.generation;
-    backend.pending.emplace(backend_id, pending);
+    if (!backend.alive.load(std::memory_order_relaxed)) return std::nullopt;
+    sent.id = backend.next_id++;
+    sent.generation = backend.generation;
+    backend.pending.emplace(sent.id, pending);
   }
   backend.outstanding.fetch_add(1, std::memory_order_relaxed);
-  serve::WireRequest request = pending->request;
-  request.id = backend_id;
-  std::string line = serve::format_request(request);
-  line.push_back('\n');
-  bool written = false;
+  if (write_to(backend, sent.generation, encode(sent.id))) return sent;
+  // Write failed (worker died between pick and write). Wake the reader so
+  // teardown runs, and reclaim the entry unless teardown already took it.
   {
-    std::lock_guard wlock(backend.write_mutex);
-    std::lock_guard slock(backend.state_mutex);
-    if (backend.generation == generation && backend.fd >= 0) {
-      written = write_all(backend.fd, line, options.io_timeout);
+    std::lock_guard lock(backend.state_mutex);
+    lost = backend.pending.erase(sent.id) == 0;
+    if (backend.generation == sent.generation && backend.fd >= 0) {
+      ::shutdown(backend.fd, SHUT_RDWR);
     }
   }
-  if (!written) {
-    bool ours = false;
-    {
-      std::lock_guard lock(backend.state_mutex);
-      ours = backend.pending.erase(backend_id) > 0;
-      if (backend.generation == generation && backend.fd >= 0) {
-        ::shutdown(backend.fd, SHUT_RDWR);  // reader runs the teardown
-      }
-    }
-    if (ours) {
-      backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      fail_pending(pending,
-                   common::unavailable("Balancer: backend write failed"));
-    }
+  if (!lost) backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+void Balancer::Impl::send_to_backend(Backend& backend, const PendingPtr& pending) {
+  bool lost = false;
+  const auto sent = send(backend, pending, lost, [&](std::uint64_t backend_id) {
+    serve::WireRequest request = pending->request;
+    request.id = backend_id;
+    std::string line;
+    serve::format_request_into(line, serve::Framing::kJson, request);
+    return line;
+  });
+  if (!sent.has_value() && !lost) {
+    fail_pending(pending, common::unavailable("Balancer: backend unreachable"));
   }
 }
 
@@ -734,15 +673,14 @@ void Balancer::Impl::maintenance_loop() {
         serve::ConnectOptions one_shot;  // backoff lives in next_reconnect
         auto conn = connect_endpoint(backend.endpoint, one_shot);
         if (conn.ok()) {
-          {
-            std::lock_guard lock(backend.state_mutex);
-            backend.fd = conn.value().fd;
-            backend.binary.store(conn.value().binary, std::memory_order_release);
-            ++backend.generation;
-            backend.alive.store(true, std::memory_order_release);
-          }
+          std::lock_guard lock(backend.state_mutex);
+          backend.fd = conn.value().fd;
+          backend.binary.store(conn.value().binary, std::memory_order_release);
+          ++backend.generation;
+          backend.alive.store(true, std::memory_order_release);
+        }
+        if (conn.ok() && start_reader(backend)) {
           backend.backoff = std::chrono::milliseconds(50);
-          start_reader(backend);
           {
             std::lock_guard lock(stats_mutex);
             ++reconnects;
@@ -771,58 +709,17 @@ void Balancer::Impl::maintenance_loop() {
 
 // --- client side --------------------------------------------------------------
 
-void Balancer::Impl::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      const int err = errno;
-      if (err == EINTR) continue;
-      if (stopping.load(std::memory_order_acquire)) return;
-      if (err == ECONNABORTED || err == EMFILE || err == ENFILE) {
-        common::log_warn() << "Balancer: accept: " << std::strerror(err);
-        if (err != ECONNABORTED) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        continue;
-      }
-      common::log_error() << "Balancer: accept failed permanently: "
-                          << std::strerror(err) << "; no longer accepting";
-      return;
-    }
-    std::lock_guard lock(conn_mutex);
-    if (stopping.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    reap_finished_locked();
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] {
-      serve_connection(raw->fd);
-      ::shutdown(raw->fd, SHUT_RDWR);
-      {
-        std::lock_guard lock(conn_mutex);
-        reap_finished_locked();
-      }
-      raw->done.store(true, std::memory_order_release);
-    });
-    std::lock_guard slock(stats_mutex);
-    ++connections;
+void Balancer::Impl::count_request() {
+  {
+    std::lock_guard lock(stats_mutex);
+    ++requests;
   }
+  obs_requests->inc();
 }
 
-void Balancer::Impl::reap_finished_locked() {
-  for (auto it = conns.begin(); it != conns.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      ::close((*it)->fd);
-      it = conns.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void Balancer::Impl::count_protocol_error() {
+  std::lock_guard lock(stats_mutex);
+  ++protocol_errors;
 }
 
 serve::WireStats Balancer::Impl::own_wire_stats() {
@@ -843,430 +740,173 @@ serve::WireStats Balancer::Impl::own_wire_stats() {
   return wire;
 }
 
-void Balancer::Impl::serve_connection(int fd) {
-  // Same pipelined reader/writer split as SocketServer::serve_connection:
-  // in-order reply queue, bounded by max_inflight. The difference is where
-  // a reply comes from — a promise fulfilled by whichever backend reader
-  // ends up holding the request. Replies mirror their request's framing.
-  struct PendingReply {
-    std::uint64_t id = 0;
-    bool binary = false;
-    std::optional<std::future<serve::WireResponse>> response;
-    std::string immediate;
-    /// The forwarded request's balancer-side trace; the writer merges the
-    /// worker's stages into it and stamps balancer.reply.
-    obs::RequestTracePtr trace;
-  };
-  common::BoundedQueue<PendingReply> replies(
-      std::max<std::size_t>(1, options.max_inflight));
-  std::atomic<bool> write_failed{false};
-  std::thread writer([&] {
-    while (auto pending = replies.pop()) {
-      if (write_failed.load(std::memory_order_relaxed)) continue;  // drain only
-      std::string reply;
-      if (pending->response.has_value()) {
-        serve::WireResponse response = pending->response->get();
-        // Merge order: balancer pre-dispatch stages, the worker's stage
-        // table (offsets against the WORKER's clock — per-hop, never
-        // rebased), then balancer.reply against this balancer's clock.
-        std::optional<obs::Trace> trace;
-        if (pending->trace != nullptr) {
-          if (response.trace.has_value()) {
-            pending->trace->append(response.trace->stages);
-          }
-          pending->trace->stamp("balancer.reply");
-          trace = pending->trace->snapshot();
-        }
-        const obs::Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
-        const common::Error malformed =
-            common::internal_error("Balancer: malformed backend reply");
-        if (pending->binary) {
-          if (response.prediction.has_value()) {
-            reply = serve::binary::format_prediction_frame(
-                pending->id, *response.prediction, trace_ptr);
-          } else if (response.error.has_value()) {
-            reply = serve::binary::format_error_frame(pending->id, *response.error,
-                                                      trace_ptr);
-          } else {
-            reply = serve::binary::format_error_frame(pending->id, malformed);
-          }
-        } else {
-          if (response.prediction.has_value()) {
-            reply = serve::format_response(pending->id, *response.prediction,
-                                           trace_ptr);
-          } else if (response.error.has_value()) {
-            reply = serve::format_error(pending->id, *response.error, trace_ptr);
-          } else {
-            reply = serve::format_error(pending->id, malformed);
-          }
-        }
-      } else {
-        reply = std::move(pending->immediate);
-      }
-      if (!pending->binary) reply.push_back('\n');
-      if (!write_all(fd, reply, options.io_timeout)) {
-        write_failed.store(true, std::memory_order_relaxed);
-        ::shutdown(fd, SHUT_RD);
-      }
-    }
-  });
+/// The client side of one connection. A reply comes from a promise
+/// fulfilled by whichever backend reader ends up holding the request;
+/// chunk streams are forwarded frame by frame, never buffered.
+class Balancer::Impl::Connection final : public serve::ConnectionHandler {
+ public:
+  explicit Connection(Impl& balancer) : balancer_(balancer) {}
 
-  auto count_protocol_error = [&] {
-    std::lock_guard slock(stats_mutex);
-    ++protocol_errors;
-  };
-  // Writes one frame to a routed stream's backend under the same
-  // generation-checked double-mutex discipline as dispatch(). Returns false
-  // when the backend is gone (caller marks the route broken).
-  auto write_to_backend = [&](Backend& backend, std::uint64_t generation,
-                              std::string_view bytes) {
-    std::lock_guard wlock(backend.write_mutex);
-    std::lock_guard slock(backend.state_mutex);
-    if (backend.generation != generation || backend.fd < 0) return false;
-    return write_all(backend.fd, bytes, options.io_timeout);
-  };
-
-  // One live chunk stream per client request id: where its frames are being
-  // forwarded. The balancer is a pass-through — it never buffers chunks, so
-  // peak memory per stream is one frame.
-  struct StreamRoute {
-    Backend* backend = nullptr;
-    std::uint64_t backend_id = 0;
-    std::uint64_t generation = 0;
-    PendingPtr pending;
-    bool broken = false;  // forwarding failed; End still surfaces the error
-  };
-  std::unordered_map<std::uint64_t, StreamRoute> routes;
-
-  // Decoded WireRequests from either framing meet here.
-  auto handle_request = [&](serve::WireRequest wire, bool is_binary) {
-    PendingReply pending;
-    pending.binary = is_binary;
-    pending.id = wire.id;
-    if (wire.kind == serve::RequestKind::kHello) {
-      // The balancer negotiates for itself: its client-facing connection
-      // always speaks both framings, whatever the workers speak.
-      const std::uint32_t negotiated =
-          std::min(wire.max_protocol, serve::kProtocolVersion);
-      pending.immediate =
-          is_binary ? serve::binary::format_hello_frame(wire.id, negotiated)
-                    : serve::format_hello_response(wire.id, negotiated);
-      replies.push(std::move(pending));
-      return;
+  void on_request(serve::WireRequest wire, serve::Framing framing,
+                  serve::ReplyQueue& replies) override {
+    serve::PendingReply pending(wire.id, framing);
+    switch (wire.kind) {
+      case serve::RequestKind::kHello:
+        // The balancer negotiates for itself: its client-facing connection
+        // always speaks both framings, whatever the workers speak.
+        format_reply_into(pending.immediate, framing, wire.id,
+                          std::min(wire.max_protocol, serve::kProtocolVersion));
+        replies.push(std::move(pending));
+        return;
+      case serve::RequestKind::kHealth:
+      case serve::RequestKind::kStats:
+        // The balancer answers for itself — a client asking the fleet
+        // endpoint for health wants the fleet front, not one worker.
+        format_reply_into(pending.immediate, framing, wire.id, wire.kind,
+                          balancer_.own_wire_stats());
+        replies.push(std::move(pending));
+        return;
+      case serve::RequestKind::kMetrics:
+        // Aggregation runs on this reader thread: scrapes come from
+        // dedicated monitoring connections (repro_top), and the gather is
+        // bounded, so stalling this connection's decode briefly is fine.
+        format_reply_into(pending.immediate, framing, wire.id, balancer_.gather_metrics());
+        replies.push(std::move(pending));
+        return;
+      case serve::RequestKind::kPredict:
+      case serve::RequestKind::kPredictSource:
+        break;
     }
-    if (wire.kind == serve::RequestKind::kHealth ||
-        wire.kind == serve::RequestKind::kStats) {
-      // The balancer answers for itself — a client asking the fleet
-      // endpoint for health wants the fleet front, not one worker.
-      const auto stats_now = own_wire_stats();
-      if (wire.kind == serve::RequestKind::kHealth) {
-        pending.immediate = is_binary
-                                ? serve::binary::format_health_frame(wire.id, stats_now)
-                                : serve::format_health_response(wire.id, stats_now);
-      } else {
-        pending.immediate = is_binary
-                                ? serve::binary::format_stats_frame(wire.id, stats_now)
-                                : serve::format_stats_response(wire.id, stats_now);
-      }
-      replies.push(std::move(pending));
-      return;
-    }
-    if (wire.kind == serve::RequestKind::kMetrics) {
-      // Aggregation runs on this reader thread: scrapes come from dedicated
-      // monitoring connections (repro_top), and the gather is bounded, so
-      // stalling this connection's decode briefly is fine.
-      const serve::WireMetrics merged = gather_metrics();
-      pending.immediate = is_binary
-                              ? serve::binary::format_metrics_frame(wire.id, merged)
-                              : serve::format_metrics_response(wire.id, merged);
-      replies.push(std::move(pending));
-      return;
-    }
-    {
-      std::lock_guard slock(stats_mutex);
-      ++requests;
-    }
-    obs_requests->inc();
+    balancer_.count_request();
     auto forwarded = std::make_shared<Pending>();
     forwarded->request = std::move(wire);
     forwarded->arrival = std::chrono::steady_clock::now();
     if (forwarded->request.trace.has_value()) {
-      forwarded->trace =
-          std::make_shared<obs::RequestTrace>(*forwarded->request.trace);
+      forwarded->trace = std::make_shared<obs::RequestTrace>(*forwarded->request.trace);
       forwarded->trace->stamp("balancer.parse");
       pending.trace = forwarded->trace;
     }
-    pending.response = forwarded->promise.get_future();
+    pending.forwarded = forwarded->promise.get_future();
     // Push before dispatch: the queue bound is the pipelining window, and
     // it must count this request before the next message is decoded.
     replies.push(std::move(pending));
-    dispatch(forwarded);
+    balancer_.dispatch(forwarded);
+  }
+
+  bool on_source_begin(serve::binary::SourceBegin open,
+                       serve::ReplyQueue& replies) override {
+    balancer_.count_request();
+    auto entry = std::make_shared<Pending>();
+    entry->streamed = true;
+    entry->request.id = open.id;
+    entry->request.kind = serve::RequestKind::kPredictSource;
+    entry->request.deadline_ms = open.deadline_ms;
+    entry->arrival = std::chrono::steady_clock::now();
+    // Route selection retries write failures like dispatch(), but only for
+    // the Begin frame — once a chunk has been forwarded the stream is
+    // pinned to its backend.
+    while (entry->attempts < balancer_.options.max_dispatch_attempts &&
+           !balancer_.stopping.load(std::memory_order_acquire)) {
+      Backend* backend = balancer_.pick_backend(/*need_binary=*/true);
+      if (backend == nullptr) break;
+      ++entry->attempts;
+      serve::binary::SourceBegin fwd{0, open.kernel, open.deadline_ms};
+      bool lost = false;
+      const auto sent = balancer_.send(*backend, entry, lost, [&](std::uint64_t backend_id) {
+        fwd.id = backend_id;
+        return serve::binary::format_source_begin(fwd);
+      });
+      if (sent.has_value()) {
+        backend->routed.fetch_add(1, std::memory_order_relaxed);
+        routes_.emplace(open.id, StreamRoute{backend, *sent, entry, false});
+        return true;
+      }
+      if (lost) break;  // teardown failed the entry; it must not be routed again
+    }
+    serve::push_error(replies, open.id, serve::Framing::kBinary,
+                      common::unavailable("Balancer: no stream-capable worker"));
+    return false;
+  }
+
+  void on_source_chunk(const serve::binary::SourceChunk& chunk) override {
+    StreamRoute& route = routes_.at(chunk.id);
+    // Backend died mid-stream: the teardown fails the pending entry with a
+    // retryable error; stop forwarding, keep the route so the client's End
+    // still collects that error in order.
+    if (!route.broken &&
+        !forward(route, serve::binary::format_source_chunk(route.sent.id, chunk.data))) {
+      route.broken = true;
+    }
+  }
+
+  void on_source_end(std::uint64_t id, serve::ReplyQueue& replies) override {
+    const StreamRoute route = std::move(routes_.extract(id).mapped());
+    if (!route.broken) (void)forward(route, serve::binary::format_source_end(route.sent.id));
+    // The reply slot is taken at End — matching the worker, which also
+    // answers streams at End; a broken route's promise is resolved by the
+    // backend teardown, never left dangling.
+    serve::PendingReply pending(id, serve::Framing::kBinary);
+    pending.forwarded = route.pending->promise.get_future();
+    replies.push(std::move(pending));
+  }
+
+  void on_source_abort(std::uint64_t id) override {
+    drop(routes_.extract(id).mapped());
+  }
+
+  void on_protocol_error() override { balancer_.count_protocol_error(); }
+
+  void on_close(const serve::ConnectionSummary& summary) override {
+    // A connection that dies with open streams: tell their backends to drop
+    // the half-streamed requests, so a worker never waits on chunks that
+    // can no longer arrive.
+    for (auto& [id, route] : routes_) {
+      (void)id;
+      drop(route);
+    }
+    std::lock_guard lock(balancer_.stats_mutex);
+    balancer_.peak_message_bytes =
+        std::max(balancer_.peak_message_bytes, summary.peak_message_bytes);
+    if (summary.framing_fault) ++balancer_.protocol_errors;
+  }
+
+ private:
+  /// One live chunk stream: where its frames are being forwarded.
+  struct StreamRoute {
+    Backend* backend = nullptr;
+    Sent sent;
+    PendingPtr pending;
+    bool broken = false;  // forwarding failed; End still surfaces the error
   };
 
-  serve::MessageSplitter splitter(options.max_line_bytes, /*accept_binary=*/true,
-                                  pool);
-  // Backs the intermediate JSON document inside parse_request; reset after
-  // every message (the decoded WireRequest owns plain heap strings).
-  common::Arena arena;
-  char chunk[4096];
-  bool framing_fault = false;
-  for (;;) {
-    // Blocking (timeout 0): an idle client connection is legitimate.
-    const auto rd = common::net::read_some(fd, chunk, sizeof chunk,
-                                           std::chrono::milliseconds(0));
-    if (rd.status != common::net::IoStatus::kOk) break;
-    splitter.feed(std::string_view(chunk, rd.bytes));
-
-    for (;;) {
-      auto next = splitter.next();
-      if (!next.ok()) {
-        PendingReply pending;
-        pending.immediate = serve::format_error(0, next.error());
-        replies.push(std::move(pending));
-        framing_fault = true;
-        break;
-      }
-      if (!next.value().has_value()) break;  // need more bytes
-      serve::WireMessage message = std::move(*next.value());
-
-      if (!message.binary) {
-        auto request = serve::parse_request(message.payload, &arena);
-        if (!request.ok()) {
-          count_protocol_error();
-          PendingReply pending;
-          pending.id = serve::best_effort_id(message.payload);
-          pending.immediate = serve::format_error(pending.id, request.error());
-          replies.push(std::move(pending));
-        } else {
-          handle_request(std::move(request).take(), /*is_binary=*/false);
-        }
-        arena.reset();
-        continue;
-      }
-
-      switch (message.frame) {
-        case serve::binary::FrameType::kRequest: {
-          auto request = serve::binary::parse_request(message.payload);
-          if (!request.ok()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = serve::binary::best_effort_id(message.payload);
-            pending.immediate =
-                serve::binary::format_error_frame(pending.id, request.error());
-            replies.push(std::move(pending));
-          } else {
-            handle_request(std::move(request).take(), /*is_binary=*/true);
-          }
-          break;
-        }
-        case serve::binary::FrameType::kSourceBegin: {
-          auto begin = serve::binary::parse_source_begin(message.payload);
-          if (!begin.ok()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = serve::binary::best_effort_id(message.payload);
-            pending.immediate =
-                serve::binary::format_error_frame(pending.id, begin.error());
-            replies.push(std::move(pending));
-            break;
-          }
-          auto& open = begin.value();
-          if (routes.find(open.id) != routes.end()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = open.id;
-            pending.immediate = serve::binary::format_error_frame(
-                open.id, common::parse_error("binary: duplicate stream id"));
-            replies.push(std::move(pending));
-            break;
-          }
-          {
-            std::lock_guard slock(stats_mutex);
-            ++requests;
-          }
-          obs_requests->inc();
-          auto pending_entry = std::make_shared<Pending>();
-          pending_entry->streamed = true;
-          pending_entry->request.id = open.id;
-          pending_entry->request.kind = serve::RequestKind::kPredictSource;
-          pending_entry->request.deadline_ms = open.deadline_ms;
-          pending_entry->arrival = std::chrono::steady_clock::now();
-          // Route selection retries write failures like dispatch(), but only
-          // for the Begin frame — once a chunk has been forwarded the stream
-          // is pinned to its backend.
-          StreamRoute route;
-          route.pending = pending_entry;
-          bool routed = false;
-          while (pending_entry->attempts < options.max_dispatch_attempts &&
-                 !stopping.load(std::memory_order_acquire)) {
-            Backend* backend = pick_backend(/*need_binary=*/true);
-            if (backend == nullptr) break;
-            ++pending_entry->attempts;
-            std::uint64_t backend_id = 0;
-            std::uint64_t generation = 0;
-            {
-              std::lock_guard lock(backend->state_mutex);
-              if (!backend->alive.load(std::memory_order_relaxed)) continue;
-              backend_id = backend->next_id++;
-              generation = backend->generation;
-              backend->pending.emplace(backend_id, pending_entry);
-            }
-            backend->outstanding.fetch_add(1, std::memory_order_relaxed);
-            serve::binary::SourceBegin fwd;
-            fwd.id = backend_id;
-            fwd.kernel = open.kernel;
-            fwd.deadline_ms = open.deadline_ms;
-            if (write_to_backend(*backend, generation,
-                                 serve::binary::format_source_begin(fwd))) {
-              backend->routed.fetch_add(1, std::memory_order_relaxed);
-              route.backend = backend;
-              route.backend_id = backend_id;
-              route.generation = generation;
-              routed = true;
-              break;
-            }
-            bool ours = false;
-            {
-              std::lock_guard lock(backend->state_mutex);
-              ours = backend->pending.erase(backend_id) > 0;
-              if (backend->generation == generation && backend->fd >= 0) {
-                ::shutdown(backend->fd, SHUT_RDWR);
-              }
-            }
-            if (ours) backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (!routed) {
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = open.id;
-            pending.immediate = serve::binary::format_error_frame(
-                open.id,
-                common::unavailable("Balancer: no stream-capable worker"));
-            replies.push(std::move(pending));
-            break;
-          }
-          routes.emplace(open.id, std::move(route));
-          break;
-        }
-        case serve::binary::FrameType::kSourceChunk: {
-          auto source_chunk = serve::binary::parse_source_chunk(message.payload);
-          if (!source_chunk.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(source_chunk.value().id);
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (route.broken) break;  // error already owed at End
-          if (!write_to_backend(*route.backend, route.generation,
-                                serve::binary::format_source_chunk(
-                                    route.backend_id, source_chunk.value().data))) {
-            // Backend died mid-stream: the teardown fails the pending entry
-            // with a retryable error; stop forwarding, keep the route so the
-            // client's End still collects that error in order.
-            route.broken = true;
-          }
-          break;
-        }
-        case serve::binary::FrameType::kSourceEnd: {
-          auto end = serve::binary::parse_source_end(message.payload);
-          if (!end.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(end.value());
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (!route.broken &&
-              !write_to_backend(*route.backend, route.generation,
-                                serve::binary::format_source_end(route.backend_id))) {
-            route.broken = true;
-          }
-          // The reply slot is taken at End — matching the worker, which also
-          // answers streams at End; a broken route's promise is resolved by
-          // the backend teardown, never left dangling.
-          PendingReply pending;
-          pending.binary = true;
-          pending.id = end.value();
-          pending.response = route.pending->promise.get_future();
-          routes.erase(it);
-          replies.push(std::move(pending));
-          break;
-        }
-        case serve::binary::FrameType::kSourceAbort: {
-          auto abort = serve::binary::parse_source_abort(message.payload);
-          if (!abort.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(abort.value());
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (!route.broken) {
-            (void)write_to_backend(*route.backend, route.generation,
-                                   serve::binary::format_source_abort(route.backend_id));
-          }
-          // The worker never answers an abort — reclaim the pending entry
-          // ourselves (backend ids are never reused, so a stale erase is a
-          // harmless no-op).
-          {
-            std::lock_guard lock(route.backend->state_mutex);
-            if (route.backend->pending.erase(route.backend_id) > 0) {
-              route.backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
-            }
-          }
-          routes.erase(it);
-          break;
-        }
-        case serve::binary::FrameType::kResponse: {
-          count_protocol_error();
-          PendingReply pending;
-          pending.binary = true;
-          pending.id = serve::binary::best_effort_id(message.payload);
-          pending.immediate = serve::binary::format_error_frame(
-              pending.id,
-              common::parse_error("binary: unexpected response frame"));
-          replies.push(std::move(pending));
-          break;
-        }
-      }
-    }
-    if (framing_fault) break;
+  bool forward(const StreamRoute& route, std::string_view bytes) {
+    return balancer_.write_to(*route.backend, route.sent.generation, bytes);
   }
-  // A connection that dies with open streams: tell their backends to drop
-  // the half-streamed requests (best effort) and reclaim the entries, so a
-  // worker never waits on chunks that can no longer arrive.
-  for (auto& [id, route] : routes) {
-    (void)id;
+
+  /// Abort a half-streamed request on its backend (best effort) and reclaim
+  /// its pending entry: the worker never answers an abort, and backend ids
+  /// are never reused, so a stale erase is a harmless no-op.
+  void drop(const StreamRoute& route) {
     if (!route.broken) {
-      (void)write_to_backend(*route.backend, route.generation,
-                             serve::binary::format_source_abort(route.backend_id));
+      (void)forward(route, serve::binary::format_source_abort(route.sent.id));
     }
     std::lock_guard lock(route.backend->state_mutex);
-    if (route.backend->pending.erase(route.backend_id) > 0) {
+    if (route.backend->pending.erase(route.sent.id) > 0) {
       route.backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  replies.close();
-  writer.join();
+
+  Impl& balancer_;
+  std::unordered_map<std::uint64_t, StreamRoute> routes_;
+};
+
+void Balancer::Impl::serve_connection(int fd) {
   {
-    std::lock_guard slock(stats_mutex);
-    peak_message_bytes = std::max<std::uint64_t>(peak_message_bytes,
-                                                 splitter.peak_buffered_bytes());
-    if (framing_fault) ++protocol_errors;
+    std::lock_guard lock(stats_mutex);
+    ++connections;
   }
+  Connection connection(*this);
+  serve::serve_pipelined(fd, pipeline, connection);
 }
 
 // --- lifecycle ----------------------------------------------------------------
@@ -1281,14 +921,9 @@ void Balancer::stop() {
     impl.stopping.store(true, std::memory_order_release);
     if (impl.maintenance.joinable()) impl.maintenance.join();
 
-    // Listener down first: no new clients while the fleet detaches.
-    if (impl.listen_fd >= 0) ::shutdown(impl.listen_fd, SHUT_RDWR);
-    if (impl.acceptor.joinable()) impl.acceptor.join();
-    if (impl.listen_fd >= 0) ::close(impl.listen_fd);
-
-    // Backends next: readers exit, teardown fails whatever is pending with
+    // Backends first: readers exit, teardown fails whatever is pending with
     // "unavailable" (stopping suppresses re-dispatch), so every client
-    // future is resolved before the connection writers drain below.
+    // future is resolved before the host drains the connection writers.
     for (auto& backend : impl.backends) {
       std::lock_guard lock(backend->state_mutex);
       if (backend->fd >= 0) ::shutdown(backend->fd, SHUT_RDWR);
@@ -1300,25 +935,14 @@ void Balancer::stop() {
       if (backend->fd >= 0) ::close(backend->fd);
       backend->fd = -1;
     }
-
-    std::list<std::unique_ptr<Impl::Conn>> conns;
-    {
-      std::lock_guard lock(impl.conn_mutex);
-      conns.swap(impl.conns);
-    }
-    for (auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
-    for (auto& conn : conns) {
-      if (conn->thread.joinable()) conn->thread.join();
-      ::close(conn->fd);
-    }
-    if (!impl.bound_unix_path.empty()) ::unlink(impl.bound_unix_path.c_str());
+    if (impl.host != nullptr) impl.host->stop();
   });
 }
 
-int Balancer::tcp_port() const noexcept { return impl_->bound_tcp_port; }
+int Balancer::tcp_port() const noexcept { return impl_->host->tcp_port(); }
 
 const std::string& Balancer::unix_path() const noexcept {
-  return impl_->bound_unix_path;
+  return impl_->host->unix_path();
 }
 
 Balancer::Stats Balancer::stats() const {

@@ -1,28 +1,15 @@
 #include "fleet/broker.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <cstring>
-#include <list>
-#include <mutex>
-#include <thread>
+#include <algorithm>
 #include <utility>
 
-#include "common/log.hpp"
 #include "common/net.hpp"
+#include "serve/connection_host.hpp"
 #include "serve/protocol.hpp"
 
 namespace repro::fleet {
 
 namespace {
-
-common::Error errno_error(const std::string& what) {
-  return common::io_error(what + ": " + std::strerror(errno));
-}
 
 // Replies are small (one JSON line); a worker that cannot absorb one within
 // 30s has wedged — drop it, it will retry with backoff.
@@ -37,24 +24,9 @@ struct Broker::Impl {
   serve::ServiceConfig config;
   BrokerOptions options;
   std::unique_ptr<serve::ModelCache> cache;
-  int listen_fd = -1;
-  std::string bound_path;
+  std::unique_ptr<serve::ConnectionHost> host;
 
-  struct Conn {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  std::thread acceptor;
-  std::mutex conn_mutex;
-  std::list<std::unique_ptr<Conn>> conns;
-  std::atomic<bool> stopping{false};
-  std::once_flag stop_once;
-
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_finished_locked();
   [[nodiscard]] std::string answer(const std::string& line);
 };
 
@@ -70,76 +42,15 @@ common::Result<std::unique_ptr<Broker>> Broker::start(serve::ServiceConfig confi
         "Broker: cache_dir is required (workers load the write-through copy)");
   }
   std::unique_ptr<Broker> broker(new Broker());
-  broker->impl_->config = std::move(config);
-  broker->impl_->options = options;
-  broker->impl_->cache =
-      std::make_unique<serve::ModelCache>(options.cache_capacity, options.cache_dir);
-
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options.unix_path.size() >= sizeof(addr.sun_path)) {
-    return common::invalid_argument("Broker: unix path too long: " + options.unix_path);
-  }
-  std::strncpy(addr.sun_path, options.unix_path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return errno_error("Broker: socket(AF_UNIX)");
-  ::unlink(options.unix_path.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    auto err = errno_error("Broker: bind(" + options.unix_path + ")");
-    ::close(fd);
-    return err;
-  }
-  if (::listen(fd, 16) != 0) {
-    auto err = errno_error("Broker: listen");
-    ::close(fd);
-    return err;
-  }
-  broker->impl_->listen_fd = fd;
-  broker->impl_->bound_path = options.unix_path;
-  broker->impl_->acceptor =
-      std::thread([impl = broker->impl_.get()] { impl->accept_loop(); });
+  Impl& impl = *broker->impl_;
+  impl.config = std::move(config);
+  impl.options = options;
+  impl.cache = std::make_unique<serve::ModelCache>(options.cache_capacity, options.cache_dir);
+  auto host = serve::ConnectionHost::start("Broker", options.unix_path, -1,
+                                           [&impl](int fd) { impl.serve_connection(fd); });
+  if (!host.ok()) return host.error();
+  impl.host = std::move(host).take();
   return broker;
-}
-
-void Broker::Impl::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (stopping.load(std::memory_order_acquire)) return;
-      if (errno == ECONNABORTED) continue;
-      common::log_error() << "Broker: accept: " << std::strerror(errno)
-                          << "; no longer accepting";
-      return;
-    }
-    std::lock_guard lock(conn_mutex);
-    if (stopping.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    reap_finished_locked();
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] {
-      serve_connection(raw->fd);
-      ::shutdown(raw->fd, SHUT_RDWR);
-      raw->done.store(true, std::memory_order_release);
-    });
-  }
-}
-
-void Broker::Impl::reap_finished_locked() {
-  for (auto it = conns.begin(); it != conns.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      ::close((*it)->fd);
-      it = conns.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 std::string Broker::Impl::answer(const std::string& line) {
@@ -209,26 +120,10 @@ Broker::~Broker() {
 }
 
 void Broker::stop() {
-  std::call_once(impl_->stop_once, [this] {
-    impl_->stopping.store(true, std::memory_order_release);
-    if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
-    if (impl_->acceptor.joinable()) impl_->acceptor.join();
-    if (impl_->listen_fd >= 0) ::close(impl_->listen_fd);
-    std::list<std::unique_ptr<Impl::Conn>> conns;
-    {
-      std::lock_guard lock(impl_->conn_mutex);
-      conns.swap(impl_->conns);
-    }
-    for (auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
-    for (auto& conn : conns) {
-      if (conn->thread.joinable()) conn->thread.join();
-      ::close(conn->fd);
-    }
-    if (!impl_->bound_path.empty()) ::unlink(impl_->bound_path.c_str());
-  });
+  if (impl_->host != nullptr) impl_->host->stop();
 }
 
-const std::string& Broker::unix_path() const noexcept { return impl_->bound_path; }
+const std::string& Broker::unix_path() const noexcept { return impl_->host->unix_path(); }
 
 const serve::ModelCache& Broker::cache() const noexcept { return *impl_->cache; }
 

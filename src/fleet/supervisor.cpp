@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -89,15 +88,11 @@ struct Supervisor::Impl {
     std::string socket_path;
     std::string log_path;
     pid_t pid = -1;
-    bool restart_requested = false;
-    bool restart_done = false;
-    common::Status restart_status;
     std::thread monitor;
   };
 
   std::vector<std::unique_ptr<Worker>> workers;
-  mutable std::mutex mutex;          // workers' pid/flags + stats
-  std::condition_variable restart_cv;
+  mutable std::mutex mutex;  // workers' pids + stats
   std::atomic<bool> stopping{false};
   std::once_flag stop_once;
   Stats stats;
@@ -181,21 +176,6 @@ struct Supervisor::Impl {
   void monitor_loop(Worker& worker) {
     for (;;) {
       if (stopping.load(std::memory_order_acquire)) return;
-
-      bool do_restart = false;
-      {
-        std::lock_guard lock(mutex);
-        do_restart = worker.restart_requested && !worker.restart_done;
-      }
-      if (do_restart) {
-        terminate(worker);
-        auto status = spawn_and_wait(worker);
-        std::lock_guard lock(mutex);
-        worker.restart_status = status;
-        worker.restart_done = true;
-        if (status.ok()) ++stats.restarts;
-        restart_cv.notify_all();
-      }
 
       pid_t pid;
       {
@@ -296,21 +276,6 @@ std::vector<pid_t> Supervisor::pids() const {
   return out;
 }
 
-common::Status Supervisor::restart(std::size_t index) {
-  if (index >= impl_->workers.size()) {
-    return common::out_of_range("Supervisor: no worker " + std::to_string(index));
-  }
-  auto& worker = *impl_->workers[index];
-  std::unique_lock lock(impl_->mutex);
-  worker.restart_requested = true;
-  worker.restart_done = false;
-  impl_->restart_cv.wait(lock, [&] {
-    return worker.restart_done || impl_->stopping.load(std::memory_order_acquire);
-  });
-  worker.restart_requested = false;
-  return worker.restart_status;
-}
-
 Supervisor::Stats Supervisor::stats() const {
   std::lock_guard lock(impl_->mutex);
   return impl_->stats;
@@ -319,7 +284,6 @@ Supervisor::Stats Supervisor::stats() const {
 void Supervisor::stop() {
   std::call_once(impl_->stop_once, [this] {
     impl_->stopping.store(true, std::memory_order_release);
-    impl_->restart_cv.notify_all();
     if (impl_->chaos.joinable()) impl_->chaos.join();
     for (auto& worker : impl_->workers) {
       if (worker->monitor.joinable()) worker->monitor.join();

@@ -1,6 +1,6 @@
 // The fleet's worker lifecycle manager: fork/exec N `repro_serve`
 // processes, wait until each accepts connections, auto-respawn crashed
-// workers, and restart or stop them gracefully (SIGTERM → drain → exit).
+// workers, and stop them gracefully (SIGTERM → drain → exit).
 //
 // Each worker listens on its own Unix socket under socket_dir
 // (worker-<i>.sock) and logs to worker-<i>.log there. Readiness is probed
@@ -10,7 +10,7 @@
 //
 // One monitor thread per worker owns that worker's state machine: it polls
 // waitpid(WNOHANG), respawns on unexpected exit (the balancer reconnects to
-// the same socket path by itself), and executes restart()/stop() commands.
+// the same socket path by itself); stop() ends every monitor first.
 // A kill -9'd worker is therefore back in the fleet within roughly
 // poll-interval + model-load time, and no other worker is disturbed.
 #pragma once
@@ -40,7 +40,7 @@ struct SupervisorOptions {
   std::size_t workers = 2;
   /// Directory for the per-worker sockets and log files (must exist).
   std::string socket_dir;
-  /// How long spawn()/restart() waits for a worker to accept connections.
+  /// How long a (re)spawn waits for a worker to accept connections.
   /// Generous by default: the first worker of a cold fleet trains the model.
   std::chrono::seconds ready_timeout{300};
   /// Respawn workers that exit without being asked to.
@@ -68,14 +68,9 @@ class Supervisor {
   /// Current pid of each worker (changes across respawns).
   [[nodiscard]] std::vector<pid_t> pids() const;
 
-  /// Graceful rolling restart of one worker: SIGTERM (repro_serve drains
-  /// its connections and exits), wait, respawn, wait until serving again.
-  [[nodiscard]] common::Status restart(std::size_t index);
-
   struct Stats {
     std::uint64_t spawns = 0;       // initial spawns + respawns
     std::uint64_t crashes = 0;      // exits the supervisor did not request
-    std::uint64_t restarts = 0;     // explicit restart() calls completed
     std::uint64_t chaos_kills = 0;  // SIGKILLs delivered by chaos mode
   };
   [[nodiscard]] Stats stats() const;

@@ -154,14 +154,6 @@ std::vector<FrequencyConfig> FrequencyDomain::all_actual() const {
   return out;
 }
 
-std::vector<FrequencyConfig> FrequencyDomain::all_reported() const {
-  std::vector<FrequencyConfig> out;
-  for (const auto& dom : domains_) {
-    for (int f : dom.reported_core_mhz) out.push_back({f, dom.mem_mhz});
-  }
-  return out;
-}
-
 bool FrequencyDomain::is_actual(FrequencyConfig c) const noexcept {
   const auto* dom = find_domain(c.mem_mhz);
   if (dom == nullptr) return false;

@@ -64,9 +64,6 @@ class FrequencyDomain {
   /// All actually-effective configurations, mem-major then ascending core.
   [[nodiscard]] std::vector<FrequencyConfig> all_actual() const;
 
-  /// All NVML-reported configurations (actual + clamped gray points).
-  [[nodiscard]] std::vector<FrequencyConfig> all_reported() const;
-
   [[nodiscard]] bool is_actual(FrequencyConfig c) const noexcept;
   [[nodiscard]] bool is_reported(FrequencyConfig c) const noexcept;
 

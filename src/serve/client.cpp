@@ -321,12 +321,7 @@ common::Status SocketClient::send_request(const WireRequest& request) {
   // Encode into the reused buffer: the steady state of a pipelined burst
   // sends without touching the heap (both framings).
   send_buf_.clear();
-  if (binary_) {
-    binary::format_request_frame_into(send_buf_, request);
-  } else {
-    format_request_into(send_buf_, request);
-    send_buf_.push_back('\n');
-  }
+  format_request_into(send_buf_, binary_ ? Framing::kBinary : Framing::kJson, request);
   return send_raw(send_buf_);
 }
 
@@ -337,13 +332,7 @@ common::Result<WireResponse> SocketClient::read_wire(std::uint64_t expect_id) {
     if (!next.ok()) return next.error();
     if (next.value().has_value()) {
       const WireMessage& message = *next.value();
-      common::Result<WireResponse> response = [&]() -> common::Result<WireResponse> {
-        if (!message.binary) return parse_response(message.payload);
-        if (message.frame != binary::FrameType::kResponse) {
-          return common::parse_error("SocketClient: unexpected frame from server");
-        }
-        return binary::parse_response(message.payload);
-      }();
+      common::Result<WireResponse> response = parse_response(message);
       if (!response.ok()) return response.error();
       if (response.value().id != expect_id) {
         return common::internal_error(

@@ -245,7 +245,7 @@ class JsonParser {
     const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec == std::errc::result_out_of_range) {
       // from_chars reports result_out_of_range for BOTH ends of the binary64
-      // range. Overflow (e.g. the "1e999" infinity sentinel dump_json emits)
+      // range. Overflow (e.g. the "1e999" infinity sentinel append_double emits)
       // saturates to infinity; underflow ("1e-999") rounds to zero.
       const bool negative = token.front() == '-';
       if (token_underflows(token)) {
@@ -281,36 +281,6 @@ void append_double(std::string& out, double v) {
   out.append(buf, end);
 }
 
-void dump_value(std::string& out, const JsonValue& value) {
-  if (value.is_null()) {
-    out += "null";
-  } else if (value.is_bool()) {
-    out += value.as_bool() ? "true" : "false";
-  } else if (value.is_number()) {
-    append_double(out, value.as_number());
-  } else if (value.is_string()) {
-    out += json_quote(value.as_string());
-  } else if (value.is_array()) {
-    out.push_back('[');
-    const auto& items = value.as_array();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      dump_value(out, items[i]);
-    }
-    out.push_back(']');
-  } else {
-    out.push_back('{');
-    const auto& members = value.as_object();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += json_quote(members[i].first);
-      out.push_back(':');
-      dump_value(out, members[i].second);
-    }
-    out.push_back('}');
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -323,12 +293,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 common::Result<JsonValue> parse_json(std::string_view text, common::Arena* arena) {
   return JsonParser(text, arena).parse();
-}
-
-std::string dump_json(const JsonValue& value) {
-  std::string out;
-  dump_value(out, value);
-  return out;
 }
 
 namespace {
@@ -1659,6 +1623,66 @@ std::uint64_t best_effort_id(std::string_view payload) {
 }
 
 }  // namespace binary
+
+// --- framing-keyed replies ------------------------------------------------------
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const core::Predictor::KernelPrediction& p,
+                       const obs::Trace* trace) {
+  if (framing == Framing::kBinary) return binary::format_prediction_frame_into(out, id, p, trace);
+  format_response_into(out, id, p, trace);
+  out.push_back('\n');
+}
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const common::Error& error, const obs::Trace* trace) {
+  if (framing == Framing::kBinary) return binary::format_error_frame_into(out, id, error, trace);
+  format_error_into(out, id, error, trace);
+  out.push_back('\n');
+}
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       RequestKind kind, const WireStats& stats) {
+  const bool health = kind == RequestKind::kHealth;
+  if (framing == Framing::kBinary) {
+    return health ? binary::format_health_frame_into(out, id, stats)
+                  : binary::format_stats_frame_into(out, id, stats);
+  }
+  if (health) {
+    format_health_response_into(out, id, stats);
+  } else {
+    format_stats_response_into(out, id, stats);
+  }
+  out.push_back('\n');
+}
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const WireMetrics& metrics) {
+  if (framing == Framing::kBinary) return binary::format_metrics_frame_into(out, id, metrics);
+  format_metrics_response_into(out, id, metrics);
+  out.push_back('\n');
+}
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       std::uint32_t protocol) {
+  if (framing == Framing::kBinary) return binary::format_hello_frame_into(out, id, protocol);
+  format_hello_response_into(out, id, protocol);
+  out.push_back('\n');
+}
+
+void format_request_into(std::string& out, Framing framing, const WireRequest& request) {
+  if (framing == Framing::kBinary) return binary::format_request_frame_into(out, request);
+  format_request_into(out, request);
+  out.push_back('\n');
+}
+
+common::Result<WireResponse> parse_response(const WireMessage& message) {
+  if (!message.binary) return parse_response(message.payload);
+  if (message.frame != binary::FrameType::kResponse) {
+    return common::parse_error("binary: unexpected frame where a response belongs");
+  }
+  return binary::parse_response(message.payload);
+}
 
 // --- incremental message splitting --------------------------------------------
 

@@ -158,9 +158,6 @@ class JsonValue {
 [[nodiscard]] common::Result<JsonValue> parse_json(std::string_view text,
                                                    common::Arena* arena = nullptr);
 
-/// Serialize (doubles in shortest round-trip form — exact binary64).
-[[nodiscard]] std::string dump_json(const JsonValue& value);
-
 /// Escape-quote one string as a JSON string literal.
 [[nodiscard]] std::string json_quote(std::string_view s);
 
@@ -405,6 +402,36 @@ void format_hello_frame_into(std::string& out, std::uint64_t id, std::uint32_t p
 [[nodiscard]] std::uint64_t best_effort_id(std::string_view payload);
 
 }  // namespace binary
+
+// --- framing-keyed replies ------------------------------------------------------
+
+struct WireMessage;
+
+/// How one message travels: a JSON line or a binary frame. A reply always
+/// mirrors its request's framing.
+enum class Framing : std::uint8_t { kJson, kBinary };
+
+/// Append one complete reply in `framing`: a binary frame, or a JSON line
+/// with its terminating '\n'. Built on the `_into` formatters above, so the
+/// bytes are theirs.
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const core::Predictor::KernelPrediction& p,
+                       const obs::Trace* trace = nullptr);
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const common::Error& error, const obs::Trace* trace = nullptr);
+/// The short health reply for kind kHealth, the full stats reply otherwise.
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       RequestKind kind, const WireStats& stats);
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const WireMetrics& metrics);
+/// The hello reply: the negotiated protocol version.
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       std::uint32_t protocol);
+/// Append one complete request in `framing` (client and balancer side).
+void format_request_into(std::string& out, Framing framing, const WireRequest& request);
+/// Parse a response message of either framing; a binary frame other than a
+/// response is a parse error.
+[[nodiscard]] common::Result<WireResponse> parse_response(const WireMessage& message);
 
 // --- incremental message splitting --------------------------------------------
 

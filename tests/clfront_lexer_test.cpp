@@ -224,6 +224,14 @@ TEST(LexerTest, BackslashNewlineContinuesPreprocessorLine) {
   EXPECT_EQ(tokens[0].loc.column, 1);
 }
 
+TEST(LexerTest, BackslashNewlineContinuesLineComment) {
+  const auto tokens = lex_at_every_chunk_size("a // c \\\nb\n// d \\\r\ne\nf\n");
+  ASSERT_EQ(tokens.size(), 3u);  // a f eof
+  EXPECT_EQ(tokens[0].text, "a");
+  EXPECT_EQ(tokens[1].text, "f");
+  EXPECT_EQ(tokens[1].loc.line, 5);
+}
+
 TEST(LexerTest, BackslashInsideLineDoesNotContinueIt) {
   const auto tokens = lex_at_every_chunk_size("#define S \\ x\ny");
   ASSERT_EQ(tokens.size(), 2u);  // y eof

@@ -281,6 +281,23 @@ TEST(SourceFeederTest, BackslashContinuedDefine) {
   EXPECT_EQ(features.count(rcl::FeatureIndex::kGlAccess), 2.0);
 }
 
+TEST(SourceFeederTest, BackslashContinuedLineComment) {
+  // A backslash-newline splices the next line into a // comment, as in C:
+  // the multiply and both accesses below are comment text.
+  const std::string source =
+      "kernel void k(global float* x) {\n"
+      "  // scale \\\n"
+      "  x[0] = x[0] * 2.0f;\n"
+      "}\n";
+  const auto features = featurize_at_every_chunk_size(source);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kFloatMul), 0.0);
+  EXPECT_EQ(features.count(rcl::FeatureIndex::kGlAccess), 0.0);
+  const auto crlf = featurize_at_every_chunk_size(
+      "kernel void k(global float* x) {\n  // scale \\\r\n  x[0] = x[0] * 2.0f;\n}\n");
+  EXPECT_EQ(crlf.count(rcl::FeatureIndex::kFloatMul), 0.0);
+  EXPECT_EQ(crlf.count(rcl::FeatureIndex::kGlAccess), 0.0);
+}
+
 // --- call resolution: each call tree is summed once --------------------------
 
 namespace {

@@ -8,7 +8,9 @@
 // repro_serve workers and kill -9, lives in scripts/fleet_smoke.sh.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -17,8 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/fault.hpp"
@@ -551,6 +557,72 @@ TEST(BrokerTest, TrainsOnceAndHandsWorkersTheDiskCopy) {
   EXPECT_TRUE(bitwise_equal(served.value().pareto, reference.value().pareto));
 
   service.value()->stop();
+  broker.value()->stop();
+}
+
+TEST(BrokerTest, KeepsAcceptingAfterDescriptorExhaustion) {
+  // A broker whose accept() hits EMFILE must back off and keep accepting,
+  // not stop for good while the process looks healthy.
+  TempDir dir("repro-fleet-broker-emfile");
+  rs::ServiceConfig config;
+  config.suite = small_suite();
+  config.training.num_configs = 8;
+  rf::BrokerOptions options;
+  options.unix_path = (dir.path / "broker.sock").string();
+  options.cache_dir = (dir.path / "cache").string();
+  auto broker = rf::Broker::start(config, options);
+  ASSERT_TRUE(broker.ok()) << broker.error().message;
+
+  int highest_fd = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest_fd = std::max(highest_fd, std::stoi(entry.path().filename().string()));
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(highest_fd) + 8;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  // Take every descriptor left under the lowered limit, then hand the last
+  // one to a client socket: the broker's accept of that connection has
+  // none left. A descriptor some other thread frees meanwhile lets the
+  // accept through; then the round repeats with the table refilled.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.unix_path.c_str(), sizeof(addr.sun_path) - 1);
+  const std::string health = "{\"id\":1,\"type\":\"health\"}\n";
+  std::vector<int> held;
+  bool exhausted = false;
+  for (int round = 0; round < 5 && !exhausted; ++round) {
+    for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0; fd = ::open("/dev/null", O_RDONLY)) {
+      held.push_back(fd);
+    }
+    if (held.empty()) break;
+    ::close(held.back());
+    held.pop_back();
+    const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (client < 0) continue;
+    held.push_back(client);
+    if (::connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::send(client, health.data(), health.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(health.size())) {
+      // Not accepted, so not answered: the acceptor is at EMFILE.
+      pollfd pfd{client, POLLIN, 0};
+      exhausted = ::poll(&pfd, 1, 500) == 0;
+    }
+  }
+  for (const int fd : held) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(exhausted) << "the broker's accept never ran out of descriptors";
+
+  // Descriptors are back: a fresh connection is accepted and answered.
+  rs::ConnectOptions connect;
+  connect.io_timeout = std::chrono::milliseconds(5000);
+  auto fresh = rs::SocketClient::connect_unix(options.unix_path, connect);
+  ASSERT_TRUE(fresh.ok()) << fresh.error().message;
+  auto reply = fresh.value().raw_round_trip("{\"id\":2,\"type\":\"health\"}");
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  EXPECT_NE(reply.value().find("\"health\""), std::string::npos) << reply.value();
   broker.value()->stop();
 }
 

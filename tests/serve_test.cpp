@@ -8,7 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1874,4 +1879,154 @@ TEST(ObservabilityTest, WireStatsFieldsSurviveBothFramings) {
     EXPECT_EQ(s.streamed, 12u);
     EXPECT_EQ(s.peak_message_bytes, 13u);
   }
+}
+
+// --- connection host: refusal instead of a crash -------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define REPRO_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define REPRO_TEST_SANITIZED 1
+#endif
+#endif
+
+namespace {
+
+int connect_unix_socket(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Everything readable within `timeout_ms` of quiet, up to the first '\n'
+/// when `one_line`; `closed` reports EOF (or a reset) seen on the way.
+std::string read_reply(int fd, bool one_line, bool& closed, int timeout_ms = 10000) {
+  std::string out;
+  closed = false;
+  char buf[4096];
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return out;
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) {
+      closed = true;
+      return out;
+    }
+    out.append(buf, static_cast<std::size_t>(n));
+    if (one_line && out.find('\n') != std::string::npos) return out;
+  }
+}
+
+/// Kills and reaps a child process the test did not get to stop itself.
+struct ChildGuard {
+  pid_t pid = -1;
+  ~ChildGuard() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+std::string health_round_trip(int fd, bool& closed) {
+  const std::string request = "{\"id\":1,\"type\":\"health\"}\n";
+  // A refused connection may already be closed; its reply is still queued.
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  return read_reply(fd, /*one_line=*/true, closed);
+}
+
+}  // namespace
+
+TEST(ConnectionHostTest, RefusesConnectionsItCannotServeAndKeepsServing) {
+  // Under an address-space cap every connection's thread pair eventually
+  // cannot be created. Each connection past that point must read one
+  // retryable error and be closed; the server must keep serving the
+  // connections it has and exit cleanly on SIGTERM.
+#ifdef REPRO_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than the cap";
+#endif
+  const auto self = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string binary = (self.parent_path() / "repro_serve").string();
+  if (!std::filesystem::exists(binary)) GTEST_SKIP() << "no repro_serve next to this test";
+  TempDir dir("repro-connection-host");
+  const std::string socket_path = (dir.path / "s.sock").string();
+  const std::string cache_dir = (dir.path / "cache").string();
+  std::vector<std::string> args = {binary,        "--unix",        socket_path,
+                                   "--suite-stride", "8",          "--num-configs",
+                                   "8",           "--cache-dir",   cache_dir};
+  std::vector<char*> argv;
+  for (auto& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+
+  int out[2];
+  ASSERT_EQ(::pipe(out), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(out[0]);
+    ::close(out[1]);
+    rlimit cap{};
+    ::getrlimit(RLIMIT_AS, &cap);
+    cap.rlim_cur = rlim_t{1500} << 20;
+    ::setrlimit(RLIMIT_AS, &cap);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ChildGuard child{pid};
+  ::close(out[1]);
+  std::string banner;
+  while (banner.find("READY") == std::string::npos) {
+    bool eof = false;
+    const std::string more = read_reply(out[0], /*one_line=*/true, eof, 120000);
+    banner += more;
+    if (eof || more.empty()) break;
+  }
+  ASSERT_NE(banner.find("READY"), std::string::npos) << banner;
+
+  bool closed = false;
+  const int first = connect_unix_socket(socket_path);
+  ASSERT_GE(first, 0);
+  ASSERT_NE(health_round_trip(first, closed).find("\"health\""), std::string::npos);
+
+  // At most 64 connections in all, the first one included.
+  std::vector<int> idle;
+  int refused = 0;
+  for (int i = 1; i < 64 && refused < 4; ++i) {
+    const int fd = connect_unix_socket(socket_path);
+    ASSERT_GE(fd, 0) << "connection " << i << ": " << std::strerror(errno);
+    const std::string reply = health_round_trip(fd, closed);
+    if (reply.find("\"health\"") != std::string::npos) {
+      idle.push_back(fd);
+      continue;
+    }
+    // Refused: one "unavailable" error line, then the close.
+    ++refused;
+    EXPECT_NE(reply.find("\"code\":\"unavailable\""), std::string::npos)
+        << "connection " << i << ": " << reply;
+    const std::string rest = closed ? std::string() : read_reply(fd, false, closed);
+    EXPECT_TRUE(closed) << "connection " << i << " was refused but left open";
+    EXPECT_EQ(reply.size() + rest.size(), reply.find('\n') + 1) << reply << rest;
+    ::close(fd);
+  }
+  EXPECT_GT(refused, 0) << "no connection of 64 was refused under the cap";
+
+  EXPECT_NE(health_round_trip(first, closed).find("\"health\""), std::string::npos);
+  ::close(first);
+  for (const int fd : idle) ::close(fd);
+  ::kill(pid, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  child.pid = -1;
+  ::close(out[0]);
+  EXPECT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
