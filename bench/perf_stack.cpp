@@ -497,19 +497,23 @@ CaseResult bench_protocol_request_codec(std::size_t n, int reps) {
 
   std::vector<serve::WireRequest> via_json(n);
   std::vector<serve::WireRequest> via_binary(n);
+  std::string wire;  // every request is encoded into this one buffer
   const double json_ms = time_ms(
       [&] {
         for (std::size_t i = 0; i < n; ++i) {
-          via_json[i] = serve::parse_request(serve::format_request(requests[i])).value();
+          wire.clear();
+          serve::format_request_into(wire, serve::Framing::kJson, requests[i]);
+          via_json[i] = serve::parse_request(wire).value();
         }
       },
       reps);
   const double binary_ms = time_ms(
       [&] {
         for (std::size_t i = 0; i < n; ++i) {
-          const std::string framed = serve::binary::format_request_frame(requests[i]);
+          wire.clear();
+          serve::format_request_into(wire, serve::Framing::kBinary, requests[i]);
           via_binary[i] = serve::binary::parse_request(
-                              std::string_view(framed).substr(serve::binary::kHeaderBytes))
+                              std::string_view(wire).substr(serve::binary::kHeaderBytes))
                               .value();
         }
       },
@@ -553,22 +557,23 @@ CaseResult bench_protocol_response_codec(std::size_t n, int reps) {
 
   std::vector<serve::WireResponse> via_json(n);
   std::vector<serve::WireResponse> via_binary(n);
+  std::string wire;  // every reply is encoded into this one buffer
   const double json_ms = time_ms(
       [&] {
         for (std::size_t i = 0; i < n; ++i) {
-          via_json[i] =
-              serve::parse_response(serve::format_response(i + 1, predictions[i]))
-                  .value();
+          wire.clear();
+          serve::format_reply_into(wire, serve::Framing::kJson, i + 1, predictions[i]);
+          via_json[i] = serve::parse_response(wire).value();
         }
       },
       reps);
   const double binary_ms = time_ms(
       [&] {
         for (std::size_t i = 0; i < n; ++i) {
-          const std::string framed =
-              serve::binary::format_prediction_frame(i + 1, predictions[i]);
+          wire.clear();
+          serve::format_reply_into(wire, serve::Framing::kBinary, i + 1, predictions[i]);
           via_binary[i] = serve::binary::parse_response(
-                              std::string_view(framed).substr(serve::binary::kHeaderBytes))
+                              std::string_view(wire).substr(serve::binary::kHeaderBytes))
                               .value();
         }
       },
@@ -619,9 +624,8 @@ HotpathFixture make_hotpath_fixture() {
     features[i] = static_cast<double>(i) * 3.25 + 0.5;
   }
   request.features = features;
-  fx.json_request = serve::format_request(request);
-  fx.json_request.push_back('\n');
-  fx.binary_request = serve::binary::format_request_frame(request);
+  serve::format_request_into(fx.json_request, serve::Framing::kJson, request);
+  serve::format_request_into(fx.binary_request, serve::Framing::kBinary, request);
   fx.prediction.kernel = "k0";
   for (int i = 0; i < 6; ++i) {
     core::PredictedPoint point;
@@ -687,9 +691,9 @@ CaseResult bench_serving_hotpath(std::size_t n, int reps) {
             if (!next.ok() || !next.value().has_value()) break;
             const std::string payload(next.value()->payload);
             auto request = serve::parse_request(payload);
-            std::string reply =
-                serve::format_response(request.value().id, fx.prediction);
-            reply.push_back('\n');
+            std::string reply;
+            serve::format_reply_into(reply, serve::Framing::kJson, request.value().id,
+                                     fx.prediction);
             last_alloc_reply = std::move(reply);
           }
         }
@@ -713,8 +717,8 @@ CaseResult bench_serving_hotpath(std::size_t n, int reps) {
             if (!next.ok() || !next.value().has_value()) break;
             auto request = serve::parse_request(next.value()->payload, &arena);
             reply.clear();
-            serve::format_response_into(reply, request.value().id, fx.prediction);
-            reply.push_back('\n');
+            serve::format_reply_into(reply, serve::Framing::kJson, request.value().id,
+                                     fx.prediction);
             arena.reset();
           }
         }
@@ -748,13 +752,8 @@ bool run_alloc_report() {
                            ? serve::binary::parse_request(next.value()->payload)
                            : serve::parse_request(next.value()->payload, &arena);
         reply.clear();
-        if (binary) {
-          serve::binary::format_prediction_frame_into(reply, request.value().id,
-                                                      fx.prediction);
-        } else {
-          serve::format_response_into(reply, request.value().id, fx.prediction);
-          reply.push_back('\n');
-        }
+        serve::format_reply_into(reply, binary ? serve::Framing::kBinary : serve::Framing::kJson,
+                                 request.value().id, fx.prediction);
         arena.reset();
       }
     };

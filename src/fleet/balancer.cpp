@@ -773,6 +773,11 @@ class Balancer::Impl::Connection final : public serve::ConnectionHandler {
         format_reply_into(pending.immediate, framing, wire.id, balancer_.gather_metrics());
         replies.push(std::move(pending));
         return;
+      case serve::RequestKind::kModel:
+        // The fleet broker's kind: the balancer answers it as unknown.
+        balancer_.count_protocol_error();
+        serve::push_error(replies, wire.id, framing, serve::unserved_request(wire.kind));
+        return;
       case serve::RequestKind::kPredict:
       case serve::RequestKind::kPredictSource:
         break;

@@ -3,31 +3,72 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/net.hpp"
 #include "serve/connection_host.hpp"
 #include "serve/protocol.hpp"
 
 namespace repro::fleet {
 
-namespace {
-
-// Replies are small (one JSON line); a worker that cannot absorb one within
-// 30s has wedged — drop it, it will retry with backoff.
-bool write_all(int fd, std::string_view data) {
-  return common::net::write_all(fd, data, std::chrono::milliseconds(30000))
-             .status == common::net::IoStatus::kOk;
-}
-
-}  // namespace
-
 struct Broker::Impl {
   serve::ServiceConfig config;
-  BrokerOptions options;
+  serve::PipelineOptions pipeline;
   std::unique_ptr<serve::ModelCache> cache;
   std::unique_ptr<serve::ConnectionHost> host;
 
-  void serve_connection(int fd);
-  [[nodiscard]] std::string answer(const std::string& line);
+  class Connection;
+};
+
+/// One worker's connection: "model", "health" and "stats" are answered on
+/// the reader thread; binary frames never arrive (accept_binary is off).
+class Broker::Impl::Connection final : public serve::ConnectionHandler {
+ public:
+  explicit Connection(Impl& broker) : broker_(broker) {}
+
+  void on_request(serve::WireRequest wire, serve::Framing framing,
+                  serve::ReplyQueue& replies) override {
+    serve::PendingReply pending(wire.id, framing);
+    switch (wire.kind) {
+      case serve::RequestKind::kModel: {
+        // Train-or-load under the cache's own mutex: N workers asking at
+        // once block here and the suite is fitted exactly once for the
+        // whole fleet.
+        auto model = serve::Service::train_or_fetch(broker_.config, *broker_.cache);
+        if (!model.ok()) {
+          format_reply_into(pending.immediate, framing, wire.id, model.error());
+          break;
+        }
+        const serve::ModelKey key = serve::Service::key_for(broker_.config);
+        format_reply_into(pending.immediate, framing, wire.id,
+                          serve::WireModel{key.to_string(), broker_.cache->disk_path(key)});
+        break;
+      }
+      case serve::RequestKind::kHealth:
+      case serve::RequestKind::kStats: {
+        const auto cache_stats = broker_.cache->stats();
+        serve::WireStats wire_stats;
+        wire_stats.cache_hits = cache_stats.hits + cache_stats.disk_hits;
+        wire_stats.cache_misses = cache_stats.misses;
+        format_reply_into(pending.immediate, framing, wire.id, wire.kind, wire_stats);
+        break;
+      }
+      default:
+        format_reply_into(pending.immediate, framing, wire.id,
+                          serve::unserved_request(wire.kind));
+        break;
+    }
+    replies.push(std::move(pending));
+  }
+
+  bool on_source_begin(serve::binary::SourceBegin, serve::ReplyQueue&) override {
+    return false;
+  }
+  void on_source_chunk(const serve::binary::SourceChunk&) override {}
+  void on_source_end(std::uint64_t, serve::ReplyQueue&) override {}
+  void on_source_abort(std::uint64_t) override {}
+  void on_protocol_error() override {}
+  void on_close(const serve::ConnectionSummary&) override {}
+
+ private:
+  Impl& broker_;
 };
 
 Broker::Broker() : impl_(std::make_unique<Impl>()) {}
@@ -44,75 +85,20 @@ common::Result<std::unique_ptr<Broker>> Broker::start(serve::ServiceConfig confi
   std::unique_ptr<Broker> broker(new Broker());
   Impl& impl = *broker->impl_;
   impl.config = std::move(config);
-  impl.options = options;
   impl.cache = std::make_unique<serve::ModelCache>(options.cache_capacity, options.cache_dir);
-  auto host = serve::ConnectionHost::start("Broker", options.unix_path, -1,
-                                           [&impl](int fd) { impl.serve_connection(fd); });
+  impl.pipeline.name = "Broker";
+  impl.pipeline.max_message_bytes = 1 << 16;  // no broker request is this long
+  impl.pipeline.accept_binary = false;
+  impl.pipeline.pool = &common::BufferPool::global();
+  auto host = serve::ConnectionHost::start(impl.pipeline.name, options.unix_path, -1,
+                                           [&impl](int fd) {
+                                             Impl::Connection connection(impl);
+                                             serve::serve_pipelined(fd, impl.pipeline,
+                                                                    connection);
+                                           });
   if (!host.ok()) return host.error();
   impl.host = std::move(host).take();
   return broker;
-}
-
-std::string Broker::Impl::answer(const std::string& line) {
-  auto doc = serve::parse_json(line);
-  const std::uint64_t id = serve::best_effort_id(line);
-  if (!doc.ok()) return serve::format_error(id, doc.error());
-  const serve::JsonValue* type =
-      doc.value().is_object() ? doc.value().find("type") : nullptr;
-  if (type == nullptr || !type->is_string()) {
-    return serve::format_error(
-        id, common::parse_error("broker: request needs a string \"type\""));
-  }
-  const std::string_view t = type->as_string();
-  if (t == "model") {
-    // Train-or-load under the cache's own mutex: N workers asking at once
-    // block here and the suite is fitted exactly once for the whole fleet.
-    auto model = serve::Service::train_or_fetch(config, *cache);
-    if (!model.ok()) return serve::format_error(id, model.error());
-    const serve::ModelKey key = serve::Service::key_for(config);
-    return "{\"id\":" + std::to_string(id) + ",\"status\":\"ok\",\"key\":" +
-           serve::json_quote(key.to_string()) +
-           ",\"path\":" + serve::json_quote(cache->disk_path(key)) + "}";
-  }
-  if (t == "health" || t == "stats") {
-    const auto cache_stats = cache->stats();
-    serve::WireStats wire;
-    wire.cache_hits = cache_stats.hits + cache_stats.disk_hits;
-    wire.cache_misses = cache_stats.misses;
-    return t == "health" ? serve::format_health_response(id, wire)
-                         : serve::format_stats_response(id, wire);
-  }
-  return serve::format_error(
-      id, common::parse_error("broker: unknown request type \"" + std::string(t) +
-                              "\""));
-}
-
-void Broker::Impl::serve_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    // Blocking (timeout 0): workers keep the connection only for the fetch,
-    // but a worker mid-backoff between retries may legitimately idle here.
-    const auto r = common::net::read_some(fd, chunk, sizeof chunk,
-                                          std::chrono::milliseconds(0));
-    if (r.status != common::net::IoStatus::kOk) return;  // EOF, error, shutdown
-    buffer.append(chunk, r.bytes);
-
-    std::size_t start = 0;
-    for (;;) {
-      const auto nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      std::string reply = answer(line);
-      reply.push_back('\n');
-      if (!write_all(fd, reply)) return;
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > (1u << 16)) return;  // no broker request is this long
-  }
 }
 
 Broker::~Broker() {
@@ -129,9 +115,6 @@ const serve::ModelCache& Broker::cache() const noexcept { return *impl_->cache; 
 
 common::Result<BrokerModelReply> fetch_model(const std::string& broker_unix_path,
                                              const serve::ConnectOptions& retry) {
-  // Raw fd round trip rather than SocketClient: the reply is a broker
-  // message, not a prediction, and SocketClient's typed readers would
-  // reject it. Connect retry still comes from the shared backoff helper.
   // The read blocks for the whole training run when this worker is the
   // fleet's first — that can legitimately take minutes, so the fetch gets a
   // much longer io_timeout than a prediction round trip would.
@@ -139,32 +122,7 @@ common::Result<BrokerModelReply> fetch_model(const std::string& broker_unix_path
   options.io_timeout = std::max(options.io_timeout, std::chrono::milliseconds(300000));
   auto client = serve::SocketClient::connect_unix(broker_unix_path, options);
   if (!client.ok()) return client.error();
-  auto reply = client.value().raw_round_trip("{\"id\":1,\"type\":\"model\"}");
-  if (!reply.ok()) return reply.error();
-  auto doc = serve::parse_json(reply.value());
-  if (!doc.ok()) return doc.error();
-  if (doc.value().is_object()) {
-    if (const serve::JsonValue* error = doc.value().find("error");
-        error != nullptr && error->is_object()) {
-      const serve::JsonValue* message = error->find("message");
-      return common::unavailable(
-          "broker: " + (message != nullptr && message->is_string()
-                            ? std::string(message->as_string())
-                            : std::string("unknown error")));
-    }
-  }
-  const serve::JsonValue* status =
-      doc.value().is_object() ? doc.value().find("status") : nullptr;
-  const serve::JsonValue* key =
-      doc.value().is_object() ? doc.value().find("key") : nullptr;
-  const serve::JsonValue* path =
-      doc.value().is_object() ? doc.value().find("path") : nullptr;
-  if (status == nullptr || !status->is_string() || status->as_string() != "ok" ||
-      key == nullptr || !key->is_string() || path == nullptr || !path->is_string()) {
-    return common::parse_error("broker: malformed model reply: " + reply.value());
-  }
-  return BrokerModelReply{std::string(key->as_string()),
-                          std::string(path->as_string())};
+  return client.value().model();
 }
 
 }  // namespace repro::fleet

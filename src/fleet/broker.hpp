@@ -1,10 +1,11 @@
-// The fleet's shared model-cache broker: a small line-JSON socket service
+// The fleet's shared model-cache broker: a small JSON-lines socket service
 // the workers consult before training, backed by serve::ModelCache's disk
 // write-through.
 //
 // Without it, every worker of an N-process fleet would train the same suite
 // at startup — N identical multi-second SVR fits. The broker owns the one
-// ModelCache (and its shared disk directory); a worker asks
+// ModelCache (and its shared disk directory); a worker sends the protocol's
+// "model" request (serve/protocol.hpp)
 //
 //   {"id": 1, "type": "model"}
 //
@@ -21,9 +22,11 @@
 // tests/serve_test.cpp): a disk-loaded model predicts bit-identically to
 // the freshly trained one.
 //
-// The broker also answers {"type": "stats"} with its cache counters, and
-// {"type": "health"} with a liveness line — repro_fleet polls that at
-// startup.
+// The broker also answers "stats" with its cache counters and "health"
+// with a liveness reply — repro_fleet polls that at startup. It runs on
+// the shared connection host and pipelined loop (serve/connection_host.hpp)
+// with binary framing off; any other request kind is answered as an
+// unknown request type.
 #pragma once
 
 #include <memory>
@@ -69,12 +72,9 @@ class Broker {
 
 /// Worker-side call: ask the broker (with connect retry — the broker may
 /// still be binding when a worker starts) to ensure the fleet's model is
-/// trained and persisted. Returns the on-disk path of the model. Blocks for
-/// as long as training takes.
-struct BrokerModelReply {
-  std::string key;   // canonical ModelKey the broker trained
-  std::string path;  // write-through file the worker can load
-};
+/// trained and persisted. Returns the model's key and on-disk path. Blocks
+/// for as long as training takes.
+using BrokerModelReply = serve::WireModel;
 [[nodiscard]] common::Result<BrokerModelReply> fetch_model(
     const std::string& broker_unix_path, const serve::ConnectOptions& retry = {});
 

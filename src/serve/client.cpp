@@ -219,7 +219,7 @@ common::Result<std::uint32_t> SocketClient::negotiate_binary() {
   request.max_protocol = kProtocolVersion;
   // The offer itself always goes as JSON — the one framing every peer,
   // however old, can parse.
-  if (auto st = send_line(format_request(request)); !st.ok()) return st.error();
+  if (auto st = send_request(request, Framing::kJson); !st.ok()) return st.error();
   auto response = read_wire(request.id);
   if (!response.ok()) return response.error();
   if (response.value().error.has_value()) {
@@ -246,7 +246,7 @@ SocketClient::predict_source_many(
   // read). A client that writes an unbounded burst before reading deadlocks
   // against the server's own pipelining window once both directions' socket
   // buffers fill: the server's writer blocks on us, its reader stops at
-  // max_inflight, and our send_line blocks on the server — forever. Staying
+  // max_inflight, and our send_request blocks on the server — forever. Staying
   // below the server's default window (64) keeps the pipeline moving.
   constexpr std::size_t kMaxOutstanding = 32;
 
@@ -311,17 +311,11 @@ common::Status SocketClient::send_raw(std::string_view bytes) {
   }
 }
 
-common::Status SocketClient::send_line(std::string_view line) {
-  send_buf_.assign(line);
-  send_buf_.push_back('\n');
-  return send_raw(send_buf_);
-}
-
-common::Status SocketClient::send_request(const WireRequest& request) {
+common::Status SocketClient::send_request(const WireRequest& request, Framing framing) {
   // Encode into the reused buffer: the steady state of a pipelined burst
   // sends without touching the heap (both framings).
   send_buf_.clear();
-  format_request_into(send_buf_, binary_ ? Framing::kBinary : Framing::kJson, request);
+  format_request_into(send_buf_, framing, request);
   return send_raw(send_buf_);
 }
 
@@ -369,7 +363,7 @@ common::Result<core::Predictor::KernelPrediction> SocketClient::read_response(
   return std::move(*response.value().prediction);
 }
 
-common::Result<WireStats> SocketClient::introspect(RequestKind kind) {
+common::Result<WireResponse> SocketClient::call(RequestKind kind) {
   WireRequest request;
   request.id = next_id_++;
   request.kind = kind;
@@ -377,39 +371,16 @@ common::Result<WireStats> SocketClient::introspect(RequestKind kind) {
   auto response = read_wire(request.id);
   if (!response.ok()) return response.error();
   if (response.value().error.has_value()) return *response.value().error;
+  return response;
+}
+
+common::Result<WireStats> SocketClient::introspect(RequestKind kind) {
+  auto response = call(kind);
+  if (!response.ok()) return response.error();
   if (!response.value().stats.has_value()) {
     return common::parse_error("SocketClient: expected a health/stats response");
   }
   return *response.value().stats;
-}
-
-common::Result<std::string> SocketClient::raw_round_trip(const std::string& line) {
-  if (auto st = send_line(line); !st.ok()) return st.error();
-  for (;;) {
-    auto next = splitter_.next();
-    if (!next.ok()) return next.error();
-    if (next.value().has_value()) {
-      if (next.value()->binary) {
-        return common::parse_error("SocketClient: unexpected binary frame");
-      }
-      // Copy out: the payload views the splitter's buffer and would dangle
-      // past the next feed().
-      return std::string(next.value()->payload);
-    }
-    char chunk[4096];
-    const auto r = common::net::read_some(fd_, chunk, sizeof chunk, io_timeout_);
-    if (r.status == common::net::IoStatus::kTimeout) {
-      return common::unavailable("SocketClient: read timed out");
-    }
-    if (r.status == common::net::IoStatus::kError) {
-      errno = r.err;
-      return errno_error("SocketClient: read");
-    }
-    if (r.status == common::net::IoStatus::kEof) {
-      return common::io_error("SocketClient: server closed the connection");
-    }
-    splitter_.feed(std::string_view(chunk, r.bytes));
-  }
 }
 
 common::Result<WireStats> SocketClient::health() {
@@ -421,17 +392,21 @@ common::Result<WireStats> SocketClient::stats() {
 }
 
 common::Result<WireMetrics> SocketClient::metrics() {
-  WireRequest request;
-  request.id = next_id_++;
-  request.kind = RequestKind::kMetrics;
-  if (auto st = send_request(request); !st.ok()) return st.error();
-  auto response = read_wire(request.id);
+  auto response = call(RequestKind::kMetrics);
   if (!response.ok()) return response.error();
-  if (response.value().error.has_value()) return *response.value().error;
   if (!response.value().metrics.has_value()) {
     return common::parse_error("SocketClient: expected a metrics response");
   }
   return std::move(*response.value().metrics);
+}
+
+common::Result<WireModel> SocketClient::model() {
+  auto response = call(RequestKind::kModel);
+  if (!response.ok()) return response.error();
+  if (!response.value().model.has_value()) {
+    return common::parse_error("SocketClient: expected a model response");
+  }
+  return std::move(*response.value().model);
 }
 
 void SocketClient::maybe_trace(WireRequest& request) {

@@ -141,10 +141,9 @@ class SocketClient {
   /// merged with every backend's).
   [[nodiscard]] common::Result<WireMetrics> metrics();
 
-  /// Send one raw line (no trailing newline) and read one raw reply line —
-  /// for side protocols that share the line framing but not the message
-  /// schema (the fleet's model-cache broker).
-  [[nodiscard]] common::Result<std::string> raw_round_trip(const std::string& line);
+  /// The fleet broker's model hand-off: where the trained model's
+  /// write-through copy landed (fleet/broker.hpp).
+  [[nodiscard]] common::Result<WireModel> model();
 
   /// Relinquish ownership of the connected descriptor and disconnect this
   /// client. The fleet balancer pools backend connections this way: connect
@@ -165,14 +164,19 @@ class SocketClient {
   SocketClient(int fd, std::chrono::milliseconds io_timeout)
       : fd_(fd), io_timeout_(io_timeout) {}
   [[nodiscard]] common::Status send_raw(std::string_view bytes);
-  [[nodiscard]] common::Status send_line(std::string_view line);
+  /// Format in `framing` and send.
+  [[nodiscard]] common::Status send_request(const WireRequest& request, Framing framing);
   /// Format per the negotiated framing and send.
-  [[nodiscard]] common::Status send_request(const WireRequest& request);
+  [[nodiscard]] common::Status send_request(const WireRequest& request) {
+    return send_request(request, binary_ ? Framing::kBinary : Framing::kJson);
+  }
   [[nodiscard]] common::Result<WireResponse> read_wire(std::uint64_t expect_id);
   [[nodiscard]] common::Result<core::Predictor::KernelPrediction> read_response(
       std::uint64_t expect_id);
   [[nodiscard]] common::Result<core::Predictor::KernelPrediction> round_trip(
       const WireRequest& request);
+  /// One round trip of a payload-free request; an error reply is the error.
+  [[nodiscard]] common::Result<WireResponse> call(RequestKind kind);
   [[nodiscard]] common::Result<WireStats> introspect(RequestKind kind);
   /// Stamp the trace opt-in on a prediction request when enabled and the
   /// negotiated framing can carry it.

@@ -8,7 +8,7 @@
 // the acceptor keeps accepting. Descriptor exhaustion (EMFILE/ENFILE)
 // backs the acceptor off for 100 ms instead of ending it.
 //
-// serve_pipelined() is the connection loop SocketServer and Balancer share:
+// serve_pipelined() is the connection loop of all three front ends:
 // the read loop, the pooled splitter, the parse arena, JSON and binary
 // decode, protocol-error replies, the framing-fault close, and the bounded
 // in-order reply queue drained by a writer thread. A front end plugs in

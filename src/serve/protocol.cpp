@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <charconv>
@@ -344,19 +345,51 @@ std::string json_quote(std::string_view s) {
 
 namespace {
 
+// Upper bounds of the JSON numbers read as u64 and u32 wire integers.
+constexpr double kMaxU64 = 1.8e19;
+constexpr double kMaxU32 = 4.0e9;
+
+/// A JSON number that is a non-negative integer no larger than `bound`;
+/// nullopt for anything else (absent, not a number, negative, fractional,
+/// NaN, too large).
+std::optional<std::uint64_t> read_uint(const JsonValue* v, double bound) {
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  const double d = v->as_number();
+  if (!(d >= 0) || d != std::floor(d) || d > bound) return std::nullopt;
+  return static_cast<std::uint64_t>(d);
+}
+
 common::Result<std::uint64_t> require_id(const JsonValue& doc) {
   const JsonValue* id = doc.find("id");
   if (id == nullptr || !id->is_number()) {
     return common::parse_error("protocol: missing numeric \"id\"");
   }
-  const double v = id->as_number();
-  if (!(v >= 0) || v != std::floor(v) || v > 1.8e19) {
-    return common::parse_error("protocol: \"id\" must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(v);
+  const auto v = read_uint(id, kMaxU64);
+  if (!v) return common::parse_error("protocol: \"id\" must be a non-negative integer");
+  return *v;
+}
+
+/// The JSON "type" of every request kind, in RequestKind order.
+constexpr std::string_view kTypeNames[] = {"predict", "predict_source", "health", "stats",
+                                           "hello",   "metrics",        "model"};
+
+std::string_view type_name(RequestKind kind) {
+  return kTypeNames[static_cast<std::size_t>(kind)];
+}
+
+/// The predict kinds carry a payload, a deadline and a trace; every other
+/// kind is answered without entering the batching pipeline.
+bool predicts(RequestKind kind) {
+  return kind == RequestKind::kPredict || kind == RequestKind::kPredictSource;
+}
+
+common::Error unknown_type(std::string_view t) {
+  return common::parse_error("protocol: unknown request type \"" + std::string(t) + "\"");
 }
 
 }  // namespace
+
+common::Error unserved_request(RequestKind kind) { return unknown_type(type_name(kind)); }
 
 common::Result<clfront::StaticFeatures> WireRequest::to_features() const {
   if (features.has_value()) {
@@ -405,58 +438,46 @@ common::Result<WireRequest> parse_request(std::string_view line, common::Arena* 
     // A trace id: opt into per-stage reply timings. Servers that predate
     // tracing simply never look the member up, so it is backward
     // compatible on the JSON framing by construction.
-    const double v = trace->is_number() ? trace->as_number() : -1.0;
-    if (!(v >= 0) || v != std::floor(v) || v > 1.8e19) {
-      return common::parse_error(
-          "protocol: \"trace\" must be a non-negative integer");
-    }
-    request.trace = static_cast<std::uint64_t>(v);
+    const auto v = read_uint(trace, kMaxU64);
+    if (!v) return common::parse_error("protocol: \"trace\" must be a non-negative integer");
+    request.trace = *v;
   }
   const JsonValue* features = doc.value().find("features");
   const JsonValue* source = doc.value().find("source");
   // Optional explicit request type; when present it must match the payload
   // (a "predict_source" request with a features array is a client bug worth
-  // rejecting loudly, not guessing about). The introspection kinds have no
+  // rejecting loudly, not guessing about). The payload-free kinds have no
   // payload-inferable form, so they require the type member.
   if (const JsonValue* type = doc.value().find("type"); type != nullptr) {
     if (!type->is_string()) {
       return common::parse_error("protocol: \"type\" must be a string");
     }
     const std::string_view t = type->as_string();
-    if (t == "health" || t == "stats" || t == "metrics") {
+    const auto* named = std::find(std::begin(kTypeNames), std::end(kTypeNames), t);
+    if (named == std::end(kTypeNames)) return unknown_type(t);
+    request.kind = static_cast<RequestKind>(named - std::begin(kTypeNames));
+    if (!predicts(request.kind)) {
       if (features != nullptr || source != nullptr) {
         return common::parse_error("protocol: \"" + std::string(t) +
                                    "\" requests carry no payload");
       }
-      request.kind = t == "health"  ? RequestKind::kHealth
-                     : t == "stats" ? RequestKind::kStats
-                                    : RequestKind::kMetrics;
+      if (request.kind == RequestKind::kHello) {
+        // Binary-framing negotiation. A server without this kind answers
+        // "unknown request type" — exactly the signal a client needs to stay
+        // on JSON lines, so the handshake downgrades instead of desyncing.
+        const JsonValue* max = doc.value().find("max_protocol");
+        if (max == nullptr || !max->is_number()) {
+          return common::parse_error(
+              "protocol: \"hello\" needs a numeric \"max_protocol\"");
+        }
+        const auto v = read_uint(max, kMaxU32);
+        if (!v) {
+          return common::parse_error(
+              "protocol: \"max_protocol\" must be a small non-negative integer");
+        }
+        request.max_protocol = static_cast<std::uint32_t>(*v);
+      }
       return request;
-    }
-    if (t == "hello") {
-      // Binary-framing negotiation. A server without this branch answers
-      // "unknown request type" — exactly the signal a client needs to stay
-      // on JSON lines, so the handshake downgrades instead of desyncing.
-      if (features != nullptr || source != nullptr) {
-        return common::parse_error("protocol: \"hello\" requests carry no payload");
-      }
-      const JsonValue* max = doc.value().find("max_protocol");
-      if (max == nullptr || !max->is_number()) {
-        return common::parse_error(
-            "protocol: \"hello\" needs a numeric \"max_protocol\"");
-      }
-      const double v = max->as_number();
-      if (!(v >= 0) || v != std::floor(v) || v > 4.0e9) {
-        return common::parse_error(
-            "protocol: \"max_protocol\" must be a small non-negative integer");
-      }
-      request.kind = RequestKind::kHello;
-      request.max_protocol = static_cast<std::uint32_t>(v);
-      return request;
-    }
-    if (t != "predict" && t != "predict_source") {
-      return common::parse_error("protocol: unknown request type \"" + std::string(t) +
-                                 "\"");
     }
     if ((t == "predict_source") != (source != nullptr)) {
       return common::parse_error("protocol: request type \"" + std::string(t) +
@@ -481,7 +502,7 @@ common::Result<WireRequest> parse_request(std::string_view line, common::Arena* 
       }
       // Reject non-finite counts (e.g. the 1e999 saturation) here: an inf
       // feature would turn into NaN speedup/energy downstream, which
-      // format_response frames as null and parse_response then refuses —
+      // format_response_into frames as null and parse_response then refuses —
       // a whole-reply failure instead of this per-request error.
       if (!std::isfinite(v.as_number())) {
         return common::parse_error("protocol: \"features\" must be finite");
@@ -505,21 +526,14 @@ common::Result<WireRequest> parse_request(std::string_view line, common::Arena* 
 void format_request_into(std::string& out, const WireRequest& request) {
   out += "{\"id\":";
   append_u64(out, request.id);
-  if (request.kind == RequestKind::kHealth) {
-    out += ",\"type\":\"health\"}";
-    return;
-  }
-  if (request.kind == RequestKind::kStats) {
-    out += ",\"type\":\"stats\"}";
-    return;
-  }
-  if (request.kind == RequestKind::kMetrics) {
-    out += ",\"type\":\"metrics\"}";
-    return;
-  }
-  if (request.kind == RequestKind::kHello) {
-    out += ",\"type\":\"hello\",\"max_protocol\":";
-    append_u64(out, request.max_protocol);
+  if (!predicts(request.kind)) {
+    out += ",\"type\":\"";
+    out += type_name(request.kind);
+    out.push_back('"');
+    if (request.kind == RequestKind::kHello) {
+      out += ",\"max_protocol\":";
+      append_u64(out, request.max_protocol);
+    }
     out.push_back('}');
     return;
   }
@@ -550,12 +564,6 @@ void format_request_into(std::string& out, const WireRequest& request) {
     quote_into(out, *request.source);
   }
   out.push_back('}');
-}
-
-std::string format_request(const WireRequest& request) {
-  std::string out;
-  format_request_into(out, request);
-  return out;
 }
 
 namespace {
@@ -618,121 +626,6 @@ void format_response_into(std::string& out, std::uint64_t id,
   out.push_back('}');
 }
 
-std::string format_response(std::uint64_t id,
-                            const core::Predictor::KernelPrediction& p,
-                            const obs::Trace* trace) {
-  std::string out;
-  format_response_into(out, id, p, trace);
-  return out;
-}
-
-void format_health_response_into(std::string& out, std::uint64_t id,
-                                 const WireStats& stats) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"health\":{\"status\":\"ok\",\"uptime_s\":";
-  append_double(out, stats.uptime_s);
-  out += ",\"queue_depth\":";
-  append_u64(out, stats.queue_depth);
-  out += "}}";
-}
-
-std::string format_health_response(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_health_response_into(out, id, stats);
-  return out;
-}
-
-void format_stats_response_into(std::string& out, std::uint64_t id,
-                                const WireStats& stats) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"stats\":{\"uptime_s\":";
-  append_double(out, stats.uptime_s);
-  const std::pair<const char*, std::uint64_t> counters[] = {
-      {",\"queue_depth\":", stats.queue_depth},
-      {",\"requests\":", stats.requests},
-      {",\"source_requests\":", stats.source_requests},
-      {",\"batches\":", stats.batches},
-      {",\"connections\":", stats.connections},
-      {",\"protocol_errors\":", stats.protocol_errors},
-      {",\"cache_hits\":", stats.cache_hits},
-      {",\"cache_misses\":", stats.cache_misses},
-      {",\"shed\":", stats.shed},
-      {",\"deadline_exceeded\":", stats.deadline_exceeded},
-      {",\"streamed\":", stats.streamed},
-      {",\"peak_message_bytes\":", stats.peak_message_bytes},
-  };
-  for (const auto& [key, value] : counters) {
-    out += key;
-    append_u64(out, value);
-  }
-  out += "}}";
-}
-
-std::string format_stats_response(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_stats_response_into(out, id, stats);
-  return out;
-}
-
-void format_metrics_response_into(std::string& out, std::uint64_t id,
-                                  const WireMetrics& metrics) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"metrics\":{\"text\":";
-  quote_into(out, metrics.text);
-  out += ",\"values\":{";
-  for (std::size_t i = 0; i < metrics.values.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    quote_into(out, metrics.values[i].first);
-    out.push_back(':');
-    append_double(out, metrics.values[i].second);
-  }
-  out += "}}}";
-}
-
-std::string format_metrics_response(std::uint64_t id, const WireMetrics& metrics) {
-  std::string out;
-  format_metrics_response_into(out, id, metrics);
-  return out;
-}
-
-void format_hello_response_into(std::string& out, std::uint64_t id,
-                                std::uint32_t protocol) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"hello\":{\"protocol\":";
-  append_u64(out, protocol);
-  out += "}}";
-}
-
-std::string format_hello_response(std::uint64_t id, std::uint32_t protocol) {
-  std::string out;
-  format_hello_response_into(out, id, protocol);
-  return out;
-}
-
-void format_error_into(std::string& out, std::uint64_t id, const common::Error& error,
-                       const obs::Trace* trace) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"error\":{\"code\":";
-  quote_into(out, common::to_string(error.code));
-  out += ",\"message\":";
-  quote_into(out, error.message);
-  out.push_back('}');
-  append_trace(out, trace);
-  out.push_back('}');
-}
-
-std::string format_error(std::uint64_t id, const common::Error& error,
-                         const obs::Trace* trace) {
-  std::string out;
-  format_error_into(out, id, error, trace);
-  return out;
-}
-
 common::Result<WireResponse> parse_response(std::string_view line) {
   auto doc = parse_json(line);
   if (!doc.ok()) return doc.error();
@@ -750,14 +643,9 @@ common::Result<WireResponse> parse_response(std::string_view line) {
       return common::parse_error("protocol: \"trace\" must be an object");
     }
     obs::Trace t;
-    if (const JsonValue* tid = trace->find("id");
-        tid != nullptr && tid->is_number() && tid->as_number() >= 0 &&
-        tid->as_number() == std::floor(tid->as_number()) &&
-        tid->as_number() <= 1.8e19) {
-      t.id = static_cast<std::uint64_t>(tid->as_number());
-    } else {
-      return common::parse_error("protocol: \"trace\" needs a numeric \"id\"");
-    }
+    const auto tid = read_uint(trace->find("id"), kMaxU64);
+    if (!tid) return common::parse_error("protocol: \"trace\" needs a numeric \"id\"");
+    t.id = *tid;
     const JsonValue* stages = trace->find("stages");
     if (stages == nullptr || !stages->is_array()) {
       return common::parse_error("protocol: \"trace\" needs a \"stages\" array");
@@ -800,12 +688,24 @@ common::Result<WireResponse> parse_response(std::string_view line) {
       return common::parse_error(
           "protocol: \"hello\" response needs a numeric \"protocol\"");
     }
-    const double v = protocol->as_number();
-    if (!(v >= 0) || v != std::floor(v) || v > 4.0e9) {
+    const auto v = read_uint(protocol, kMaxU32);
+    if (!v) {
       return common::parse_error(
           "protocol: \"protocol\" must be a small non-negative integer");
     }
-    response.protocol = static_cast<std::uint32_t>(v);
+    response.protocol = static_cast<std::uint32_t>(*v);
+    return response;
+  }
+
+  // The broker's model reply: the only one with a top-level "status".
+  if (const JsonValue* status = doc.value().find("status"); status != nullptr) {
+    const JsonValue* key = doc.value().find("key");
+    const JsonValue* path = doc.value().find("path");
+    if (!status->is_string() || status->as_string() != "ok" || key == nullptr ||
+        !key->is_string() || path == nullptr || !path->is_string()) {
+      return common::parse_error("protocol: malformed model reply");
+    }
+    response.model = WireModel{std::string(key->as_string()), std::string(path->as_string())};
     return response;
   }
 
@@ -848,18 +748,6 @@ common::Result<WireResponse> parse_response(std::string_view line) {
       }
     }
     WireStats stats;
-    const auto read_counter = [&](const char* key,
-                                  std::uint64_t& out) -> common::Status {
-      const JsonValue* v = counters->find(key);
-      if (v == nullptr) return common::Status::Ok();  // absent = zero
-      const double d = v->is_number() ? v->as_number() : -1.0;
-      if (!(d >= 0) || d != std::floor(d) || d > 1.8e19) {
-        return common::parse_error(std::string("protocol: \"") + key +
-                                   "\" must be a non-negative integer");
-      }
-      out = static_cast<std::uint64_t>(d);
-      return common::Status::Ok();
-    };
     if (const JsonValue* uptime = counters->find("uptime_s"); uptime != nullptr) {
       if (!uptime->is_number() || !(uptime->as_number() >= 0)) {
         return common::parse_error("protocol: \"uptime_s\" must be non-negative");
@@ -879,7 +767,14 @@ common::Result<WireResponse> parse_response(std::string_view line) {
                               {"deadline_exceeded", &stats.deadline_exceeded},
                               {"streamed", &stats.streamed},
                               {"peak_message_bytes", &stats.peak_message_bytes}}) {
-      if (auto st = read_counter(key, *field); !st.ok()) return st.error();
+      const JsonValue* v = counters->find(key);
+      if (v == nullptr) continue;  // absent = zero
+      const auto n = read_uint(v, kMaxU64);
+      if (!n) {
+        return common::parse_error(std::string("protocol: \"") + key +
+                                   "\" must be a non-negative integer");
+      }
+      *field = *n;
     }
     response.stats = stats;
     response.health = health != nullptr;
@@ -953,6 +848,9 @@ constexpr std::uint8_t kWireHealth = 2;
 constexpr std::uint8_t kWireStats = 3;
 constexpr std::uint8_t kWireHello = 4;
 constexpr std::uint8_t kWireMetrics = 5;  // protocol >= 2
+// The broker's kind. The broker speaks JSON only, so no version gates it;
+// the binary framing encodes it so both framings cover every kind.
+constexpr std::uint8_t kWireModel = 6;
 
 constexpr std::uint8_t kBodyPrediction = 0;
 constexpr std::uint8_t kBodyError = 1;
@@ -960,6 +858,7 @@ constexpr std::uint8_t kBodyHealth = 2;
 constexpr std::uint8_t kBodyStats = 3;
 constexpr std::uint8_t kBodyHello = 4;
 constexpr std::uint8_t kBodyMetrics = 5;  // protocol >= 2
+constexpr std::uint8_t kBodyModel = 6;
 
 constexpr std::uint8_t kFlagDeadline = 0x01;
 // Protocol >= 2: a u64 trace id follows the (optional) deadline. Version-1
@@ -1121,9 +1020,9 @@ common::Status read_trace(Reader& reader, std::optional<obs::Trace>& out) {
   return common::Status::Ok();
 }
 
-/// In-place framing for the _into formatters: write the 6-byte header with
+/// In-place framing for every frame builder: write the 6-byte header with
 /// a zero length, append the payload straight into `out`, then patch the
-/// length — no per-frame payload temporary. Byte-identical to frame().
+/// length — no per-frame payload temporary.
 std::size_t begin_frame(std::string& out, FrameType type) {
   const std::size_t header = out.size();
   out.push_back(static_cast<char>(kMagic));
@@ -1141,16 +1040,6 @@ void end_frame(std::string& out, std::size_t header) {
 }
 
 }  // namespace
-
-std::string frame(FrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size());
-  out.push_back(static_cast<char>(kMagic));
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload);
-  return out;
-}
 
 void format_request_frame_into(std::string& out, const WireRequest& request) {
   const std::size_t header = begin_frame(out, FrameType::kRequest);
@@ -1171,14 +1060,14 @@ void format_request_frame_into(std::string& out, const WireRequest& request) {
     case RequestKind::kStats: kind = kWireStats; break;
     case RequestKind::kHello: kind = kWireHello; break;
     case RequestKind::kMetrics: kind = kWireMetrics; break;
+    case RequestKind::kModel: kind = kWireModel; break;
   }
   put_u8(payload, kind);
   // Deadlines and traces only ride on the predict kinds (introspection and
   // hello are answered on the connection thread, never queued) — matching
   // the JSON formatter, so the two framings encode one logical request
   // identically.
-  const bool queued = effective == RequestKind::kPredict ||
-                      effective == RequestKind::kPredictSource;
+  const bool queued = serve::predicts(effective);
   const bool deadline = request.deadline_ms.has_value() && queued;
   const bool trace = request.trace.has_value() && queued;
   put_u8(payload, (deadline ? kFlagDeadline : 0) | (trace ? kFlagTrace : 0));
@@ -1199,15 +1088,10 @@ void format_request_frame_into(std::string& out, const WireRequest& request) {
     case RequestKind::kHello: put_u32(payload, request.max_protocol); break;
     case RequestKind::kHealth:
     case RequestKind::kStats:
-    case RequestKind::kMetrics: break;
+    case RequestKind::kMetrics:
+    case RequestKind::kModel: break;
   }
   end_frame(out, header);
-}
-
-std::string format_request_frame(const WireRequest& request) {
-  std::string out;
-  format_request_frame_into(out, request);
-  return out;
 }
 
 common::Result<WireRequest> parse_request(std::string_view payload) {
@@ -1267,6 +1151,7 @@ common::Result<WireRequest> parse_request(std::string_view payload) {
     case kWireHealth: request.kind = RequestKind::kHealth; break;
     case kWireStats: request.kind = RequestKind::kStats; break;
     case kWireMetrics: request.kind = RequestKind::kMetrics; break;
+    case kWireModel: request.kind = RequestKind::kModel; break;
     case kWireHello: {
       request.kind = RequestKind::kHello;
       auto max = reader.u32();
@@ -1297,110 +1182,6 @@ void format_prediction_frame_into(std::string& out, std::uint64_t id,
   }
   if (trace != nullptr) put_trace(out, *trace);
   end_frame(out, header);
-}
-
-std::string format_prediction_frame(std::uint64_t id,
-                                    const core::Predictor::KernelPrediction& p,
-                                    const obs::Trace* trace) {
-  std::string out;
-  format_prediction_frame_into(out, id, p, trace);
-  return out;
-}
-
-void format_error_frame_into(std::string& out, std::uint64_t id,
-                             const common::Error& error, const obs::Trace* trace) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyError);
-  put_u8(out, static_cast<std::uint8_t>(error.code));
-  put_str(out, error.message);
-  if (trace != nullptr) put_trace(out, *trace);
-  end_frame(out, header);
-}
-
-std::string format_error_frame(std::uint64_t id, const common::Error& error,
-                               const obs::Trace* trace) {
-  std::string out;
-  format_error_frame_into(out, id, error, trace);
-  return out;
-}
-
-void format_health_frame_into(std::string& out, std::uint64_t id,
-                              const WireStats& stats) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyHealth);
-  put_f64(out, stats.uptime_s);
-  put_u64(out, stats.queue_depth);
-  end_frame(out, header);
-}
-
-std::string format_health_frame(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_health_frame_into(out, id, stats);
-  return out;
-}
-
-void format_stats_frame_into(std::string& out, std::uint64_t id,
-                             const WireStats& stats) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyStats);
-  put_f64(out, stats.uptime_s);
-  put_u64(out, stats.queue_depth);
-  put_u64(out, stats.requests);
-  put_u64(out, stats.source_requests);
-  put_u64(out, stats.batches);
-  put_u64(out, stats.connections);
-  put_u64(out, stats.protocol_errors);
-  put_u64(out, stats.cache_hits);
-  put_u64(out, stats.cache_misses);
-  put_u64(out, stats.shed);
-  put_u64(out, stats.deadline_exceeded);
-  put_u64(out, stats.streamed);
-  put_u64(out, stats.peak_message_bytes);
-  end_frame(out, header);
-}
-
-std::string format_stats_frame(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_stats_frame_into(out, id, stats);
-  return out;
-}
-
-void format_metrics_frame_into(std::string& out, std::uint64_t id,
-                               const WireMetrics& metrics) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyMetrics);
-  put_str(out, metrics.text);
-  put_u32(out, static_cast<std::uint32_t>(metrics.values.size()));
-  for (const auto& [name, value] : metrics.values) {
-    put_str(out, name);
-    put_f64(out, value);
-  }
-  end_frame(out, header);
-}
-
-std::string format_metrics_frame(std::uint64_t id, const WireMetrics& metrics) {
-  std::string out;
-  format_metrics_frame_into(out, id, metrics);
-  return out;
-}
-
-void format_hello_frame_into(std::string& out, std::uint64_t id,
-                             std::uint32_t protocol) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyHello);
-  put_u32(out, protocol);
-  end_frame(out, header);
-}
-
-std::string format_hello_frame(std::uint64_t id, std::uint32_t protocol) {
-  std::string out;
-  format_hello_frame_into(out, id, protocol);
-  return out;
 }
 
 common::Result<WireResponse> parse_response(std::string_view payload) {
@@ -1539,6 +1320,14 @@ common::Result<WireResponse> parse_response(std::string_view payload) {
       response.metrics = std::move(metrics);
       break;
     }
+    case kBodyModel: {
+      auto key = reader.str();
+      if (!key.ok()) return key.error();
+      auto path = reader.str();
+      if (!path.ok()) return path.error();
+      response.model = WireModel{std::string(key.value()), std::string(path.value())};
+      break;
+    }
     default: return common::parse_error("binary: unknown response body");
   }
   if (!reader.done()) return trailing_bytes();
@@ -1546,34 +1335,45 @@ common::Result<WireResponse> parse_response(std::string_view payload) {
 }
 
 std::string format_source_begin(const SourceBegin& begin) {
-  std::string payload;
-  put_u64(payload, begin.id);
-  put_u8(payload, begin.deadline_ms.has_value() ? kFlagDeadline : 0);
-  if (begin.deadline_ms.has_value()) put_f64(payload, *begin.deadline_ms);
-  put_str(payload, begin.kernel);
-  return frame(FrameType::kSourceBegin, payload);
+  std::string out;
+  const std::size_t header = begin_frame(out, FrameType::kSourceBegin);
+  put_u64(out, begin.id);
+  put_u8(out, begin.deadline_ms.has_value() ? kFlagDeadline : 0);
+  if (begin.deadline_ms.has_value()) put_f64(out, *begin.deadline_ms);
+  put_str(out, begin.kernel);
+  end_frame(out, header);
+  return out;
 }
 
 std::string format_source_chunk(std::uint64_t id, std::string_view bytes) {
-  std::string payload;
-  payload.reserve(8 + bytes.size());
-  put_u64(payload, id);
+  std::string out;
+  out.reserve(kHeaderBytes + 8 + bytes.size());
+  const std::size_t header = begin_frame(out, FrameType::kSourceChunk);
+  put_u64(out, id);
   // No length prefix: the frame header already delimits the chunk, so the
   // rest of the payload IS the source bytes.
-  payload.append(bytes);
-  return frame(FrameType::kSourceChunk, payload);
+  out.append(bytes);
+  end_frame(out, header);
+  return out;
 }
 
-std::string format_source_end(std::uint64_t id) {
-  std::string payload;
-  put_u64(payload, id);
-  return frame(FrameType::kSourceEnd, payload);
+namespace {
+
+/// End and Abort: a frame whose whole payload is the stream id.
+std::string id_frame(FrameType type, std::uint64_t id) {
+  std::string out;
+  const std::size_t header = begin_frame(out, type);
+  put_u64(out, id);
+  end_frame(out, header);
+  return out;
 }
+
+}  // namespace
+
+std::string format_source_end(std::uint64_t id) { return id_frame(FrameType::kSourceEnd, id); }
 
 std::string format_source_abort(std::uint64_t id) {
-  std::string payload;
-  put_u64(payload, id);
-  return frame(FrameType::kSourceAbort, payload);
+  return id_frame(FrameType::kSourceAbort, id);
 }
 
 common::Result<SourceBegin> parse_source_begin(std::string_view payload) {
@@ -1626,6 +1426,35 @@ std::uint64_t best_effort_id(std::string_view payload) {
 
 // --- framing-keyed replies ------------------------------------------------------
 
+namespace {
+
+/// The head of every reply but a prediction: a response frame's header, id
+/// and body code, or the JSON object's "id" member. Returns the frame start
+/// for end_reply.
+std::size_t begin_reply(std::string& out, Framing framing, std::uint64_t id,
+                        std::uint8_t body) {
+  if (framing == Framing::kJson) {
+    out += "{\"id\":";
+    append_u64(out, id);
+    return 0;
+  }
+  const std::size_t header = binary::begin_frame(out, binary::FrameType::kResponse);
+  binary::put_u64(out, id);
+  binary::put_u8(out, body);
+  return header;
+}
+
+/// Close what begin_reply opened: patch the frame length, or end the line.
+void end_reply(std::string& out, Framing framing, std::size_t header) {
+  if (framing == Framing::kJson) {
+    out += "}\n";
+  } else {
+    binary::end_frame(out, header);
+  }
+}
+
+}  // namespace
+
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        const core::Predictor::KernelPrediction& p,
                        const obs::Trace* trace) {
@@ -1636,38 +1465,109 @@ void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
 
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        const common::Error& error, const obs::Trace* trace) {
-  if (framing == Framing::kBinary) return binary::format_error_frame_into(out, id, error, trace);
-  format_error_into(out, id, error, trace);
-  out.push_back('\n');
+  const std::size_t header = begin_reply(out, framing, id, binary::kBodyError);
+  if (framing == Framing::kJson) {
+    out += ",\"error\":{\"code\":";
+    quote_into(out, common::to_string(error.code));
+    out += ",\"message\":";
+    quote_into(out, error.message);
+    out.push_back('}');
+    append_trace(out, trace);
+  } else {
+    binary::put_u8(out, static_cast<std::uint8_t>(error.code));
+    binary::put_str(out, error.message);
+    if (trace != nullptr) binary::put_trace(out, *trace);
+  }
+  end_reply(out, framing, header);
 }
 
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        RequestKind kind, const WireStats& stats) {
+  // The health reply carries uptime_s and the first counter only.
   const bool health = kind == RequestKind::kHealth;
-  if (framing == Framing::kBinary) {
-    return health ? binary::format_health_frame_into(out, id, stats)
-                  : binary::format_stats_frame_into(out, id, stats);
-  }
-  if (health) {
-    format_health_response_into(out, id, stats);
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {",\"queue_depth\":", stats.queue_depth},
+      {",\"requests\":", stats.requests},
+      {",\"source_requests\":", stats.source_requests},
+      {",\"batches\":", stats.batches},
+      {",\"connections\":", stats.connections},
+      {",\"protocol_errors\":", stats.protocol_errors},
+      {",\"cache_hits\":", stats.cache_hits},
+      {",\"cache_misses\":", stats.cache_misses},
+      {",\"shed\":", stats.shed},
+      {",\"deadline_exceeded\":", stats.deadline_exceeded},
+      {",\"streamed\":", stats.streamed},
+      {",\"peak_message_bytes\":", stats.peak_message_bytes},
+  };
+  const std::size_t count = health ? 1 : std::size(counters);
+  const std::size_t header =
+      begin_reply(out, framing, id, health ? binary::kBodyHealth : binary::kBodyStats);
+  if (framing == Framing::kJson) {
+    out += health ? ",\"health\":{\"status\":\"ok\",\"uptime_s\":" : ",\"stats\":{\"uptime_s\":";
+    append_double(out, stats.uptime_s);
+    for (std::size_t i = 0; i < count; ++i) {
+      out += counters[i].first;
+      append_u64(out, counters[i].second);
+    }
+    out.push_back('}');
   } else {
-    format_stats_response_into(out, id, stats);
+    binary::put_f64(out, stats.uptime_s);
+    for (std::size_t i = 0; i < count; ++i) binary::put_u64(out, counters[i].second);
   }
-  out.push_back('\n');
+  end_reply(out, framing, header);
 }
 
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        const WireMetrics& metrics) {
-  if (framing == Framing::kBinary) return binary::format_metrics_frame_into(out, id, metrics);
-  format_metrics_response_into(out, id, metrics);
-  out.push_back('\n');
+  const std::size_t header = begin_reply(out, framing, id, binary::kBodyMetrics);
+  if (framing == Framing::kJson) {
+    out += ",\"metrics\":{\"text\":";
+    quote_into(out, metrics.text);
+    out += ",\"values\":{";
+    for (std::size_t i = 0; i < metrics.values.size(); ++i) {
+      if (i != 0) out.push_back(',');
+      quote_into(out, metrics.values[i].first);
+      out.push_back(':');
+      append_double(out, metrics.values[i].second);
+    }
+    out += "}}";
+  } else {
+    binary::put_str(out, metrics.text);
+    binary::put_u32(out, static_cast<std::uint32_t>(metrics.values.size()));
+    for (const auto& [name, value] : metrics.values) {
+      binary::put_str(out, name);
+      binary::put_f64(out, value);
+    }
+  }
+  end_reply(out, framing, header);
 }
 
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        std::uint32_t protocol) {
-  if (framing == Framing::kBinary) return binary::format_hello_frame_into(out, id, protocol);
-  format_hello_response_into(out, id, protocol);
-  out.push_back('\n');
+  const std::size_t header = begin_reply(out, framing, id, binary::kBodyHello);
+  if (framing == Framing::kJson) {
+    out += ",\"hello\":{\"protocol\":";
+    append_u64(out, protocol);
+    out.push_back('}');
+  } else {
+    binary::put_u32(out, protocol);
+  }
+  end_reply(out, framing, header);
+}
+
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const WireModel& model) {
+  const std::size_t header = begin_reply(out, framing, id, binary::kBodyModel);
+  if (framing == Framing::kJson) {
+    out += ",\"status\":\"ok\",\"key\":";
+    quote_into(out, model.key);
+    out += ",\"path\":";
+    quote_into(out, model.path);
+  } else {
+    binary::put_str(out, model.key);
+    binary::put_str(out, model.path);
+  }
+  end_reply(out, framing, header);
 }
 
 void format_request_into(std::string& out, Framing framing, const WireRequest& request) {

@@ -26,6 +26,14 @@
 //        "source_requests": ..., "batches": ..., "connections": ...,
 //        "protocol_errors": ..., "cache_hits": ..., "cache_misses": ...}}
 //
+// One more payload-free kind, "model", is the fleet broker's
+// (fleet/broker.hpp): it asks the broker to train or load the fleet's model
+// and answers where the write-through copy landed. Every other front end
+// answers it as an unknown request type:
+//
+//   {"id": 1, "type": "model"}
+//     → {"id": 1, "status": "ok", "key": "<canonical key>", "path": "<file>"}
+//
 // "type" may be omitted for backward compatibility — the payload member
 // then decides — but when present it must match the payload. Connections
 // are pipelined: clients may write any number of request lines without
@@ -36,6 +44,10 @@
 //   {"id": 7, "kernel": "saxpy", "pareto": [{"core_mhz": 1002, "mem_mhz": 3505,
 //       "speedup": 0.93, "energy": 0.71, "heuristic": false}, ...]}
 //   {"id": 8, "error": {"code": "parse_error", "message": "..."}}
+//
+// Every reply is written by one format_reply_into(out, framing, …)
+// overload per reply kind, in either framing; requests by
+// format_request_into(out, framing, request).
 //
 // Determinism over the wire: every double is printed with std::to_chars
 // (shortest round-trip form, locale-independent) and parsed with
@@ -173,7 +185,7 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// What a request line asks for. The two predict kinds are inferred from
 /// the payload (the "type" member is optional for them); health, stats,
-/// metrics and hello must be named explicitly and carry no payload.
+/// metrics, hello and model must be named explicitly and carry no payload.
 enum class RequestKind {
   kPredict,
   kPredictSource,
@@ -181,6 +193,7 @@ enum class RequestKind {
   kStats,
   kHello,
   kMetrics,
+  kModel,  // the fleet broker's model hand-off
 };
 
 struct WireRequest {
@@ -191,7 +204,7 @@ struct WireRequest {
   std::string kernel;  // optional display name; defaults applied server-side
   /// For the predict kinds, exactly one of the two is set after a
   /// successful parse: "predict" requests carry features, "predict_source"
-  /// requests carry source. Both empty for health/stats.
+  /// requests carry source. Both empty for the payload-free kinds.
   std::optional<std::array<double, clfront::kNumFeatures>> features;  // raw counts
   std::optional<std::string> source;                                  // OpenCL-C
   /// Optional latency budget in milliseconds, relative to when the server
@@ -242,15 +255,23 @@ struct WireMetrics {
   std::vector<std::pair<std::string, double>> values;
 };
 
+/// A "model" response: the canonical ModelKey the broker trained and the
+/// write-through file a worker loads it from.
+struct WireModel {
+  std::string key;
+  std::string path;
+};
+
 struct WireResponse {
   std::uint64_t id = 0;
-  /// Exactly one of prediction/stats/metrics/error/protocol is set.
+  /// Exactly one of prediction/stats/metrics/model/error/protocol is set.
   std::optional<core::Predictor::KernelPrediction> prediction;
   std::optional<WireStats> stats;  // health and stats responses
   /// True when `stats` came from the short "health" framing (uptime_s and
   /// queue_depth only) rather than the full "stats" counter dump.
   bool health = false;
   std::optional<WireMetrics> metrics;  // metrics responses
+  std::optional<WireModel> model;      // model responses (the broker's)
   std::optional<common::Error> error;
   std::optional<std::uint32_t> protocol;  // hello responses
   /// Per-stage timings, present only when the request carried a trace id.
@@ -268,42 +289,19 @@ struct WireResponse {
 /// predict path still allocates nothing).
 [[nodiscard]] common::Result<WireRequest> parse_request(std::string_view line,
                                                         common::Arena* arena = nullptr);
-/// Prediction/error responses take an optional trace to append as the
-/// ,"trace":{"id":…,"stages":[{"stage":…,"us":…},…]} member.
-///
-/// Every formatter has an `_into` form that appends to a caller-owned
-/// buffer (the server's pooled reply buffer — no per-reply string on the
-/// hot path); the returning forms are thin wrappers and byte-identical.
+/// The JSON prediction reply without its line terminator, with an optional
+/// trace appended as the ,"trace":{"id":…,"stages":[{"stage":…,"us":…},…]}
+/// member. format_reply_into writes it as a line.
 void format_response_into(std::string& out, std::uint64_t id,
                           const core::Predictor::KernelPrediction& p,
                           const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_response(std::uint64_t id,
-                                          const core::Predictor::KernelPrediction& p,
-                                          const obs::Trace* trace = nullptr);
-void format_error_into(std::string& out, std::uint64_t id, const common::Error& error,
-                       const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_error(std::uint64_t id, const common::Error& error,
-                                       const obs::Trace* trace = nullptr);
-/// {"id":…,"health":{"status":"ok","uptime_s":…,"queue_depth":…}}
-void format_health_response_into(std::string& out, std::uint64_t id,
-                                 const WireStats& stats);
-[[nodiscard]] std::string format_health_response(std::uint64_t id, const WireStats& stats);
-/// {"id":…,"stats":{…all WireStats fields…}}
-void format_stats_response_into(std::string& out, std::uint64_t id,
-                                const WireStats& stats);
-[[nodiscard]] std::string format_stats_response(std::uint64_t id, const WireStats& stats);
-/// {"id":…,"metrics":{"text":…,"values":{…name:number…}}}
-void format_metrics_response_into(std::string& out, std::uint64_t id,
-                                  const WireMetrics& metrics);
-[[nodiscard]] std::string format_metrics_response(std::uint64_t id,
-                                                  const WireMetrics& metrics);
-/// {"id":…,"hello":{"protocol":…}}
-void format_hello_response_into(std::string& out, std::uint64_t id,
-                                std::uint32_t protocol);
-[[nodiscard]] std::string format_hello_response(std::uint64_t id, std::uint32_t protocol);
 [[nodiscard]] common::Result<WireResponse> parse_response(std::string_view line);
-void format_request_into(std::string& out, const WireRequest& request);  // client side
-[[nodiscard]] std::string format_request(const WireRequest& request);    // client side
+/// The JSON request without its line terminator (client side).
+void format_request_into(std::string& out, const WireRequest& request);
+
+/// The error a front end answers a well-formed request it does not serve
+/// with: the parser's own "unknown request type" error for that kind.
+[[nodiscard]] common::Error unserved_request(RequestKind kind);
 
 /// The numeric "id" of a line whose full parse failed, when one can still
 /// be recovered — error replies echo it so clients can correlate; 0 when
@@ -344,43 +342,17 @@ struct SourceChunk {
   std::string data;  // raw source bytes; boundaries may fall anywhere
 };
 
-/// Wrap a payload in a frame header.
-[[nodiscard]] std::string frame(FrameType type, std::string_view payload);
-
-/// Like the JSON formatters, every frame builder has an `_into` form that
-/// appends one complete frame (header included, length patched in place)
-/// to a caller-owned buffer; the returning forms are byte-identical
-/// wrappers.
+/// Every frame builder appends one complete frame (header included,
+/// length patched in place) to a caller-owned buffer.
 void format_request_frame_into(std::string& out, const WireRequest& request);
-[[nodiscard]] std::string format_request_frame(const WireRequest& request);
-/// Like the JSON formatters, prediction/error frames take an optional
-/// trace, encoded as a trailing section after the body (u64 id, u32 stage
-/// count, then str+f64 per stage). Pre-trace parsers never see it: a
-/// server only emits a trace when the request carried the trace flag,
-/// which old clients never set.
+/// Prediction and error frames take an optional trace, encoded as a
+/// trailing section after the body (u64 id, u32 stage count, then str+f64
+/// per stage). Pre-trace parsers never see it: a server only emits a trace
+/// when the request carried the trace flag, which old clients never set.
 void format_prediction_frame_into(std::string& out, std::uint64_t id,
                                   const core::Predictor::KernelPrediction& p,
                                   const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_prediction_frame(
-    std::uint64_t id, const core::Predictor::KernelPrediction& p,
-    const obs::Trace* trace = nullptr);
-void format_error_frame_into(std::string& out, std::uint64_t id,
-                             const common::Error& error,
-                             const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_error_frame(std::uint64_t id,
-                                             const common::Error& error,
-                                             const obs::Trace* trace = nullptr);
-void format_health_frame_into(std::string& out, std::uint64_t id,
-                              const WireStats& stats);
-[[nodiscard]] std::string format_health_frame(std::uint64_t id, const WireStats& stats);
-void format_stats_frame_into(std::string& out, std::uint64_t id, const WireStats& stats);
-[[nodiscard]] std::string format_stats_frame(std::uint64_t id, const WireStats& stats);
-void format_metrics_frame_into(std::string& out, std::uint64_t id,
-                               const WireMetrics& metrics);
-[[nodiscard]] std::string format_metrics_frame(std::uint64_t id,
-                                               const WireMetrics& metrics);
-void format_hello_frame_into(std::string& out, std::uint64_t id, std::uint32_t protocol);
-[[nodiscard]] std::string format_hello_frame(std::uint64_t id, std::uint32_t protocol);
+/// The chunked predict_source frames, each returned as its own string.
 [[nodiscard]] std::string format_source_begin(const SourceBegin& begin);
 [[nodiscard]] std::string format_source_chunk(std::uint64_t id, std::string_view bytes);
 [[nodiscard]] std::string format_source_end(std::uint64_t id);
@@ -412,8 +384,8 @@ struct WireMessage;
 enum class Framing : std::uint8_t { kJson, kBinary };
 
 /// Append one complete reply in `framing`: a binary frame, or a JSON line
-/// with its terminating '\n'. Built on the `_into` formatters above, so the
-/// bytes are theirs.
+/// with its terminating '\n'. Prediction and error replies carry an
+/// optional trace (JSON member or binary trailing section).
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        const core::Predictor::KernelPrediction& p,
                        const obs::Trace* trace = nullptr);
@@ -427,6 +399,9 @@ void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
 /// The hello reply: the negotiated protocol version.
 void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
                        std::uint32_t protocol);
+/// The broker's model reply.
+void format_reply_into(std::string& out, Framing framing, std::uint64_t id,
+                       const WireModel& model);
 /// Append one complete request in `framing` (client and balancer side).
 void format_request_into(std::string& out, Framing framing, const WireRequest& request);
 /// Parse a response message of either framing; a binary frame other than a

@@ -80,6 +80,11 @@ class SocketServer::Impl::Connection final : public ConnectionHandler {
         // admission queue.
         format_reply_into(pending.immediate, framing, wire.id, server_.wire_metrics());
         break;
+      case RequestKind::kModel:
+        // The fleet broker's kind: a worker answers it as unknown.
+        server_.count_protocol_error();
+        format_reply_into(pending.immediate, framing, wire.id, unserved_request(wire.kind));
+        break;
       case RequestKind::kPredict:
       case RequestKind::kPredictSource: {
         // Tracing is opt-in per request: only a request that carried a

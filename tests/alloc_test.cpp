@@ -176,12 +176,8 @@ bool pump_one(rs::MessageSplitter& splitter, rc::Arena& arena,
     if (!request.ok()) return false;
     if (!request.value().features.has_value()) return false;
     reply.clear();
-    if (binary) {
-      rb::format_prediction_frame_into(reply, request.value().id, prediction);
-    } else {
-      rs::format_response_into(reply, request.value().id, prediction);
-      reply.push_back('\n');
-    }
+    rs::format_reply_into(reply, binary ? rs::Framing::kBinary : rs::Framing::kJson,
+                          request.value().id, prediction);
     arena.reset();
     served = true;
   }
@@ -205,12 +201,8 @@ TEST_P(AllocationRegressionTest, ServeHotPathIsAllocationFreeAtSteadyState) {
   request.features = counts;
 
   std::string wire_bytes;
-  if (binary) {
-    wire_bytes = rb::format_request_frame(request);
-  } else {
-    wire_bytes = rs::format_request(request);
-    wire_bytes.push_back('\n');
-  }
+  rs::format_request_into(wire_bytes, binary ? rs::Framing::kBinary : rs::Framing::kJson,
+                          request);
 
   // A realistic reply: a kernel name and a handful of Pareto points.
   rco::Predictor::KernelPrediction prediction;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -211,10 +212,9 @@ class UnavailableBackend {
             const std::string line = buffer.substr(start, nl - start);
             start = nl + 1;
             std::this_thread::sleep_for(delay);
-            std::string reply =
-                rs::format_error(rs::best_effort_id(line),
-                                 rc::unavailable("always draining"));
-            reply.push_back('\n');
+            std::string reply;
+            rs::format_reply_into(reply, rs::Framing::kJson, rs::best_effort_id(line),
+                                  rc::unavailable("always draining"));
             (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
           }
           buffer.erase(0, start);
@@ -620,9 +620,49 @@ TEST(BrokerTest, KeepsAcceptingAfterDescriptorExhaustion) {
   connect.io_timeout = std::chrono::milliseconds(5000);
   auto fresh = rs::SocketClient::connect_unix(options.unix_path, connect);
   ASSERT_TRUE(fresh.ok()) << fresh.error().message;
-  auto reply = fresh.value().raw_round_trip("{\"id\":2,\"type\":\"health\"}");
+  auto reply = fresh.value().health();
   ASSERT_TRUE(reply.ok()) << reply.error().message;
-  EXPECT_NE(reply.value().find("\"health\""), std::string::npos) << reply.value();
+  broker.value()->stop();
+}
+
+TEST(BrokerTest, BrokerAndWorkerAnswerEachOthersKindWithOneError) {
+  // The broker serves "model", a worker serves "predict": each answers the
+  // other's kind with exactly one error reply and keeps the connection
+  // (the health round trip after it would read a stray reply's id).
+  TempDir dir("repro-fleet-broker-kinds");
+  rs::ServiceConfig config;
+  config.suite = small_suite();
+  config.training.num_configs = 8;
+  rf::BrokerOptions options;
+  options.unix_path = (dir.path / "broker.sock").string();
+  options.cache_dir = (dir.path / "cache").string();
+  auto broker = rf::Broker::start(config, options);
+  ASSERT_TRUE(broker.ok()) << broker.error().message;
+
+  auto to_broker = rs::SocketClient::connect_unix(options.unix_path);
+  ASSERT_TRUE(to_broker.ok()) << to_broker.error().message;
+  const std::array<double, repro::clfront::kNumFeatures> counts{1, 2, 3, 4, 5,
+                                                                6, 7, 8, 9, 10};
+  auto predicted = to_broker.value().predict("k", counts);
+  ASSERT_FALSE(predicted.ok());
+  EXPECT_EQ(predicted.error().code, rc::ErrorCode::kParseError);
+  EXPECT_NE(predicted.error().message.find("\"predict\""), std::string::npos)
+      << predicted.error().message;
+  EXPECT_TRUE(to_broker.value().health().ok());
+  EXPECT_EQ(broker.value()->cache().stats().misses, 0u);  // nothing trained
+
+  auto worker = InProcWorker::start();
+  auto to_worker = rs::SocketClient::connect_tcp(worker.server->tcp_port());
+  ASSERT_TRUE(to_worker.ok()) << to_worker.error().message;
+  auto model = to_worker.value().model();
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.error().code, rc::ErrorCode::kParseError);
+  EXPECT_NE(model.error().message.find("\"model\""), std::string::npos)
+      << model.error().message;
+  EXPECT_TRUE(to_worker.value().health().ok());
+  EXPECT_EQ(worker.server->stats().protocol_errors, 1u);
+
+  worker.stop();
   broker.value()->stop();
 }
 

@@ -103,7 +103,7 @@ std::uint64_t random_json_safe_u64(rc::Xoshiro256& rng) {
 rs::WireRequest random_request(rc::Xoshiro256& rng, bool json_safe) {
   rs::WireRequest request;
   request.id = json_safe ? random_json_safe_u64(rng) : rng.next();
-  switch (rng.uniform_index(6)) {
+  switch (rng.uniform_index(7)) {
     case 0: {
       request.kind = rs::RequestKind::kPredict;
       request.kernel = random_ascii(rng, 24);
@@ -118,7 +118,7 @@ rs::WireRequest random_request(rc::Xoshiro256& rng, bool json_safe) {
       request.source = random_ascii(rng, 200);
       break;
     // Deadlines ride only on the predict kinds — both formatters drop them
-    // from introspection/hello requests (see format_request).
+    // from introspection/hello requests (see format_request_into).
     case 2:
       request.kind = rs::RequestKind::kHealth;
       break;
@@ -127,6 +127,9 @@ rs::WireRequest random_request(rc::Xoshiro256& rng, bool json_safe) {
       break;
     case 4:
       request.kind = rs::RequestKind::kMetrics;
+      break;
+    case 5:
+      request.kind = rs::RequestKind::kModel;
       break;
     default:
       request.kind = rs::RequestKind::kHello;
@@ -212,6 +215,10 @@ rs::WireStats random_stats(rc::Xoshiro256& rng) {
   return stats;
 }
 
+rs::WireModel random_model(rc::Xoshiro256& rng) {
+  return rs::WireModel{random_ascii(rng, 40), random_ascii(rng, 80)};
+}
+
 rc::Error random_error(rc::Xoshiro256& rng) {
   const auto last = static_cast<std::uint64_t>(rc::ErrorCode::kDeadlineExceeded);
   rc::Error e;
@@ -220,48 +227,58 @@ rc::Error random_error(rc::Xoshiro256& rng) {
   return e;
 }
 
+/// One request in `framing`, as the exact bytes a client sends.
+std::string encode(const rs::WireRequest& request, rs::Framing framing) {
+  std::string out;
+  rs::format_request_into(out, framing, request);
+  return out;
+}
+
+/// One reply in `framing` (a JSON line keeps its '\n').
+template <typename... Body>
+std::string reply(rs::Framing framing, std::uint64_t id, const Body&... body) {
+  std::string out;
+  rs::format_reply_into(out, framing, id, body...);
+  return out;
+}
+
 /// One valid wire message in a random framing (JSON line or binary frame),
 /// as the exact bytes a peer would send.
 std::string random_valid_message(rc::Xoshiro256& rng) {
   const bool binary = rng.uniform_index(2) == 1;
-  switch (rng.uniform_index(9)) {
-    case 0: {
-      const auto request = random_request(rng, /*json_safe=*/true);
-      if (binary) return rb::format_request_frame(request);
-      return rs::format_request(request) + "\n";
-    }
+  const rs::Framing framing = binary ? rs::Framing::kBinary : rs::Framing::kJson;
+  // JSON carries ids as doubles, exact only below 2^53.
+  const auto reply_id = [&] { return binary ? rng.next() : random_json_safe_u64(rng); };
+  switch (rng.uniform_index(10)) {
+    case 0:
+      return encode(random_request(rng, /*json_safe=*/true), framing);
     case 1: {
       const auto p = random_prediction(rng, /*allow_inf=*/true);
       const auto trace = random_trace(rng);
       const auto* trace_ptr = rng.uniform_index(2) == 0 ? &trace : nullptr;
-      if (binary) return rb::format_prediction_frame(rng.next(), p, trace_ptr);
-      return rs::format_response(rng.next() & ((1ULL << 53) - 1), p, trace_ptr) +
-             "\n";
+      return reply(framing, reply_id(), p, trace_ptr);
     }
     case 2: {
       const auto e = random_error(rng);
       const auto trace = random_trace(rng);
       const auto* trace_ptr = rng.uniform_index(2) == 0 ? &trace : nullptr;
-      if (binary) return rb::format_error_frame(rng.next(), e, trace_ptr);
-      return rs::format_error(rng.next() & ((1ULL << 53) - 1), e, trace_ptr) +
-             "\n";
+      return reply(framing, reply_id(), e, trace_ptr);
     }
     case 8: {
       const auto metrics = random_metrics(rng);
-      if (binary) return rb::format_metrics_frame(rng.next(), metrics);
-      return rs::format_metrics_response(rng.next() & ((1ULL << 53) - 1),
-                                         metrics) +
-             "\n";
+      return reply(framing, reply_id(), metrics);
+    }
+    case 9: {
+      const auto model = random_model(rng);
+      return reply(framing, reply_id(), model);
     }
     case 3: {
       const auto stats = random_stats(rng);
-      if (binary) return rb::format_stats_frame(rng.next(), stats);
-      return rs::format_stats_response(rng.next() & ((1ULL << 53) - 1), stats) + "\n";
+      return reply(framing, reply_id(), rs::RequestKind::kStats, stats);
     }
     case 4: {
       const auto stats = random_stats(rng);
-      if (binary) return rb::format_health_frame(rng.next(), stats);
-      return rs::format_health_response(rng.next() & ((1ULL << 53) - 1), stats) + "\n";
+      return reply(framing, reply_id(), rs::RequestKind::kHealth, stats);
     }
     case 5: {
       rb::SourceBegin begin;
@@ -269,9 +286,8 @@ std::string random_valid_message(rc::Xoshiro256& rng) {
       begin.kernel = random_ascii(rng, 24);
       if (rng.uniform_index(2) == 0) begin.deadline_ms = std::fabs(random_finite(rng));
       if (binary) return rb::format_source_begin(begin);
-      return rs::format_hello_response(rng.next() & ((1ULL << 53) - 1),
-                                       static_cast<std::uint32_t>(rng.uniform_index(4))) +
-             "\n";
+      const std::uint64_t id = random_json_safe_u64(rng);
+      return reply(framing, id, static_cast<std::uint32_t>(rng.uniform_index(4)));
     }
     case 6:
       return rb::format_source_chunk(rng.next(), random_bytes(rng, 100));
@@ -476,6 +492,11 @@ void expect_response_equal(const rs::WireResponse& a, const rs::WireResponse& b)
   }
   ASSERT_EQ(a.protocol.has_value(), b.protocol.has_value());
   if (a.protocol) EXPECT_EQ(*a.protocol, *b.protocol);
+  ASSERT_EQ(a.model.has_value(), b.model.has_value());
+  if (a.model) {
+    EXPECT_EQ(a.model->key, b.model->key);
+    EXPECT_EQ(a.model->path, b.model->path);
+  }
 }
 
 /// The binary frame payload of a formatted frame (header stripped), checked.
@@ -526,7 +547,8 @@ TEST(ProtocolFuzz, MutatedJsonLinesAlwaysParseOrError) {
   for (const std::uint64_t seed : kSeeds) {
     rc::Xoshiro256 rng(seed);
     for (std::size_t i = 0; i < iters; ++i) {
-      std::string line = rs::format_request(random_request(rng, true));
+      std::string line;
+      rs::format_request_into(line, random_request(rng, true));
       mutate(line, rng);
       (void)rs::parse_request(line);
       (void)rs::parse_response(line);
@@ -597,7 +619,8 @@ TEST(ProtocolFuzz, LengthPrefixLiesAreContained) {
   rc::Xoshiro256 rng(11);
   const std::size_t max_bytes = 1 << 12;
   for (std::size_t i = 0; i < iterations(200); ++i) {
-    std::string framed = rb::format_request_frame(random_request(rng, true));
+    std::string framed;
+    rb::format_request_frame_into(framed, random_request(rng, true));
     const std::uint32_t lie =
         rng.uniform_index(2) == 0
             ? static_cast<std::uint32_t>(max_bytes + 1 + rng.uniform_index(1 << 20))
@@ -669,10 +692,9 @@ TEST(ProtocolDifferential, RequestsAgreeAcrossFramings) {
     rc::Xoshiro256 rng(seed);
     for (std::size_t i = 0; i < iterations(200); ++i) {
       const auto request = random_request(rng, /*json_safe=*/true);
-      auto from_json = rs::parse_request(rs::format_request(request));
+      auto from_json = rs::parse_request(encode(request, rs::Framing::kJson));
       ASSERT_TRUE(from_json.ok()) << from_json.error().message;
-      auto from_binary =
-          rb::parse_request(frame_payload(rb::format_request_frame(request)));
+      auto from_binary = rb::parse_request(frame_payload(encode(request, rs::Framing::kBinary)));
       ASSERT_TRUE(from_binary.ok()) << from_binary.error().message;
       expect_request_equal(from_json.value(), from_binary.value());
       expect_request_equal(request, from_binary.value());
@@ -687,38 +709,44 @@ TEST(ProtocolDifferential, ResponsesAgreeAcrossFramings) {
       const std::uint64_t id = random_json_safe_u64(rng);
       std::string json_line;
       std::string framed;
-      switch (rng.uniform_index(5)) {
+      switch (rng.uniform_index(6)) {
         case 0: {
           // inf travels exactly in both framings ("1e999" overflows
           // from_chars back to inf); nan is binary-only (JSON has no nan
           // literal) and covered below.
           const auto p = random_prediction(rng, /*allow_inf=*/true);
-          json_line = rs::format_response(id, p);
-          framed = rb::format_prediction_frame(id, p);
+          json_line = reply(rs::Framing::kJson, id, p);
+          framed = reply(rs::Framing::kBinary, id, p);
           break;
         }
         case 1: {
           const auto e = random_error(rng);
-          json_line = rs::format_error(id, e);
-          framed = rb::format_error_frame(id, e);
+          json_line = reply(rs::Framing::kJson, id, e);
+          framed = reply(rs::Framing::kBinary, id, e);
           break;
         }
         case 2: {
           const auto stats = random_stats(rng);
-          json_line = rs::format_health_response(id, stats);
-          framed = rb::format_health_frame(id, stats);
+          json_line = reply(rs::Framing::kJson, id, rs::RequestKind::kHealth, stats);
+          framed = reply(rs::Framing::kBinary, id, rs::RequestKind::kHealth, stats);
           break;
         }
         case 3: {
           const auto stats = random_stats(rng);
-          json_line = rs::format_stats_response(id, stats);
-          framed = rb::format_stats_frame(id, stats);
+          json_line = reply(rs::Framing::kJson, id, rs::RequestKind::kStats, stats);
+          framed = reply(rs::Framing::kBinary, id, rs::RequestKind::kStats, stats);
+          break;
+        }
+        case 4: {
+          const auto model = random_model(rng);
+          json_line = reply(rs::Framing::kJson, id, model);
+          framed = reply(rs::Framing::kBinary, id, model);
           break;
         }
         default: {
           const auto protocol = static_cast<std::uint32_t>(rng.uniform_index(4));
-          json_line = rs::format_hello_response(id, protocol);
-          framed = rb::format_hello_frame(id, protocol);
+          json_line = reply(rs::Framing::kJson, id, protocol);
+          framed = reply(rs::Framing::kBinary, id, protocol);
           break;
         }
       }
@@ -739,10 +767,12 @@ TEST(ProtocolDifferential, HealthAndStatsAreDistinguishable) {
   stats.queue_depth = 3;
   stats.requests = 7;
 
-  auto json_health = rs::parse_response(rs::format_health_response(1, stats));
-  auto json_stats = rs::parse_response(rs::format_stats_response(1, stats));
-  auto bin_health = rb::parse_response(frame_payload(rb::format_health_frame(1, stats)));
-  auto bin_stats = rb::parse_response(frame_payload(rb::format_stats_frame(1, stats)));
+  auto json_health = rs::parse_response(reply(rs::Framing::kJson, 1, rs::RequestKind::kHealth, stats));
+  auto json_stats = rs::parse_response(reply(rs::Framing::kJson, 1, rs::RequestKind::kStats, stats));
+  auto bin_health =
+      rb::parse_response(frame_payload(reply(rs::Framing::kBinary, 1, rs::RequestKind::kHealth, stats)));
+  auto bin_stats =
+      rb::parse_response(frame_payload(reply(rs::Framing::kBinary, 1, rs::RequestKind::kStats, stats)));
   ASSERT_TRUE(json_health.ok() && json_stats.ok() && bin_health.ok() && bin_stats.ok());
   EXPECT_TRUE(json_health.value().health);
   EXPECT_FALSE(json_stats.value().health);
@@ -779,7 +809,7 @@ TEST(ProtocolDifferential, BinaryRoundTripsPreserveEveryBitPattern) {
   }
   const std::uint64_t id = 0xffffffffffffff01ULL;  // not representable as double
 
-  auto parsed = rb::parse_response(frame_payload(rb::format_prediction_frame(id, p)));
+  auto parsed = rb::parse_response(frame_payload(reply(rs::Framing::kBinary, id, p)));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   EXPECT_EQ(parsed.value().id, id);
   ASSERT_TRUE(parsed.value().prediction.has_value());
@@ -828,7 +858,7 @@ TEST(ProtocolDifferential, BinaryRoundTripsPreserveEveryBitPattern) {
 TEST(ProtocolDifferential, TrailingBytesAreRejected) {
   rc::Xoshiro256 rng(17);
   const auto request = random_request(rng, true);
-  std::string payload = frame_payload(rb::format_request_frame(request));
+  std::string payload = frame_payload(encode(request, rs::Framing::kBinary));
   payload.push_back('\0');
   EXPECT_FALSE(rb::parse_request(payload).ok());
 
@@ -850,12 +880,12 @@ TEST(ProtocolDifferential, TracedResponsesAgreeAcrossFramings) {
       std::string framed;
       if (rng.uniform_index(2) == 0) {
         const auto p = random_prediction(rng, /*allow_inf=*/true);
-        json_line = rs::format_response(id, p, &trace);
-        framed = rb::format_prediction_frame(id, p, &trace);
+        json_line = reply(rs::Framing::kJson, id, p, &trace);
+        framed = reply(rs::Framing::kBinary, id, p, &trace);
       } else {
         const auto e = random_error(rng);
-        json_line = rs::format_error(id, e, &trace);
-        framed = rb::format_error_frame(id, e, &trace);
+        json_line = reply(rs::Framing::kJson, id, e, &trace);
+        framed = reply(rs::Framing::kBinary, id, e, &trace);
       }
       auto from_json = rs::parse_response(json_line);
       ASSERT_TRUE(from_json.ok()) << from_json.error().message << "\n" << json_line;
@@ -877,11 +907,9 @@ TEST(ProtocolDifferential, MetricsResponsesAgreeAcrossFramings) {
     for (std::size_t i = 0; i < iterations(200); ++i) {
       const std::uint64_t id = random_json_safe_u64(rng);
       const auto metrics = random_metrics(rng);
-      auto from_json =
-          rs::parse_response(rs::format_metrics_response(id, metrics));
+      auto from_json = rs::parse_response(reply(rs::Framing::kJson, id, metrics));
       ASSERT_TRUE(from_json.ok()) << from_json.error().message;
-      auto from_binary =
-          rb::parse_response(frame_payload(rb::format_metrics_frame(id, metrics)));
+      auto from_binary = rb::parse_response(frame_payload(reply(rs::Framing::kBinary, id, metrics)));
       ASSERT_TRUE(from_binary.ok()) << from_binary.error().message;
       ASSERT_TRUE(from_json.value().metrics.has_value());
       ASSERT_EQ(from_json.value().metrics->values.size(), metrics.values.size());
@@ -900,10 +928,9 @@ TEST(ProtocolDifferential, TracedAndMetricsRequestsAgreeAcrossFramings) {
   request.kind = rs::RequestKind::kPredictSource;
   request.source = "kernel void k() {}";
   request.trace = 0xabcdefULL;
-  auto from_json = rs::parse_request(rs::format_request(request));
+  auto from_json = rs::parse_request(encode(request, rs::Framing::kJson));
   ASSERT_TRUE(from_json.ok()) << from_json.error().message;
-  auto from_binary =
-      rb::parse_request(frame_payload(rb::format_request_frame(request)));
+  auto from_binary = rb::parse_request(frame_payload(encode(request, rs::Framing::kBinary)));
   ASSERT_TRUE(from_binary.ok()) << from_binary.error().message;
   ASSERT_TRUE(from_json.value().trace.has_value());
   EXPECT_EQ(*from_json.value().trace, 0xabcdefULL);
@@ -912,10 +939,9 @@ TEST(ProtocolDifferential, TracedAndMetricsRequestsAgreeAcrossFramings) {
   rs::WireRequest metrics_request;
   metrics_request.id = 100;
   metrics_request.kind = rs::RequestKind::kMetrics;
-  auto mj = rs::parse_request(rs::format_request(metrics_request));
+  auto mj = rs::parse_request(encode(metrics_request, rs::Framing::kJson));
   ASSERT_TRUE(mj.ok()) << mj.error().message;
-  auto mb =
-      rb::parse_request(frame_payload(rb::format_request_frame(metrics_request)));
+  auto mb = rb::parse_request(frame_payload(encode(metrics_request, rs::Framing::kBinary)));
   ASSERT_TRUE(mb.ok()) << mb.error().message;
   EXPECT_EQ(mj.value().kind, rs::RequestKind::kMetrics);
   expect_request_equal(mj.value(), mb.value());

@@ -134,6 +134,22 @@ kernel void saxpy_damped(global float* x, global float* y, float a, int n) {
 }
 )CL";
 
+/// A JSON request line without its terminator.
+std::string json_request(const rs::WireRequest& request) {
+  std::string out;
+  rs::format_request_into(out, request);
+  return out;
+}
+
+/// A JSON reply line without its terminator.
+template <typename... Body>
+std::string json_reply(std::uint64_t id, const Body&... body) {
+  std::string out;
+  rs::format_reply_into(out, rs::Framing::kJson, id, body...);
+  out.pop_back();  // the '\n'
+  return out;
+}
+
 }  // namespace
 
 // --- BoundedQueue -------------------------------------------------------------
@@ -245,7 +261,7 @@ TEST(ProtocolTest, RequestRoundTripAndValidation) {
   request.id = 42;
   request.kernel = "saxpy";
   request.features = std::array<double, rcl::kNumFeatures>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const auto parsed = rs::parse_request(rs::format_request(request));
+  const auto parsed = rs::parse_request(json_request(request));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   EXPECT_EQ(parsed.value().id, 42u);
   EXPECT_EQ(parsed.value().kernel, "saxpy");
@@ -271,7 +287,7 @@ TEST(ProtocolTest, PredictSourceRequestTypeRoundTrips) {
   request.id = 11;
   request.kernel = "saxpy_damped";
   request.source = kSourceKernel;
-  const std::string wire = rs::format_request(request);
+  const std::string wire = json_request(request);
   EXPECT_NE(wire.find("\"type\":\"predict_source\""), std::string::npos);
   const auto parsed = rs::parse_request(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
@@ -304,7 +320,7 @@ TEST(ProtocolTest, ResponseDoublesRoundTripBitExactly) {
       {{1002, 3505}, 1.0 / 3.0, 0.1234567890123456789, false});
   prediction.pareto.push_back({{135, 405}, 5e-324, 1.0 + 1e-15, true});
 
-  const auto parsed = rs::parse_response(rs::format_response(9, prediction));
+  const auto parsed = rs::parse_response(json_reply(9, prediction));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   EXPECT_EQ(parsed.value().id, 9u);
   ASSERT_TRUE(parsed.value().prediction.has_value());
@@ -336,7 +352,7 @@ TEST(ProtocolTest, BestEffortIdRecoversIdFromMalformedRequests) {
 
 TEST(ProtocolTest, ErrorResponsesCarryCodeAndMessage) {
   const auto parsed = rs::parse_response(
-      rs::format_error(7, rc::invalid_argument("bad features")));
+      json_reply(7, rc::invalid_argument("bad features")));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_TRUE(parsed.value().error.has_value());
   EXPECT_EQ(parsed.value().error->code, rc::ErrorCode::kInvalidArgument);
@@ -348,7 +364,7 @@ TEST(ProtocolTest, HealthAndStatsRequestsRoundTrip) {
     rs::WireRequest request;
     request.id = 5;
     request.kind = kind;
-    const auto parsed = rs::parse_request(rs::format_request(request));
+    const auto parsed = rs::parse_request(json_request(request));
     ASSERT_TRUE(parsed.ok()) << parsed.error().message;
     EXPECT_EQ(parsed.value().id, 5u);
     EXPECT_EQ(parsed.value().kind, kind);
@@ -376,7 +392,7 @@ TEST(ProtocolTest, HealthAndStatsResponsesRoundTrip) {
   stats.cache_hits = 5;
   stats.cache_misses = 1;
 
-  const auto health = rs::parse_response(rs::format_health_response(4, stats));
+  const auto health = rs::parse_response(json_reply(4, rs::RequestKind::kHealth, stats));
   ASSERT_TRUE(health.ok()) << health.error().message;
   EXPECT_EQ(health.value().id, 4u);
   ASSERT_TRUE(health.value().stats.has_value());
@@ -385,7 +401,7 @@ TEST(ProtocolTest, HealthAndStatsResponsesRoundTrip) {
   EXPECT_FALSE(health.value().prediction.has_value());
   EXPECT_FALSE(health.value().error.has_value());
 
-  const std::string wire = rs::format_stats_response(6, stats);
+  const std::string wire = json_reply(6, rs::RequestKind::kStats, stats);
   const auto full = rs::parse_response(wire);
   ASSERT_TRUE(full.ok()) << full.error().message;
   ASSERT_TRUE(full.value().stats.has_value());
@@ -954,7 +970,7 @@ TEST(SocketTest, HalfClosingPipelineClientStillGetsResponsesAndEof) {
     request.id = i + 1;
     request.kernel = kernels[i].kernel_name;
     request.features = kernels[i].counts;
-    wire += rs::format_request(request);
+    wire += json_request(request);
     wire.push_back('\n');
   }
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
@@ -997,7 +1013,7 @@ TEST(DeadlineTest, WireRequestDeadlineRoundTripsAndStaysOptional) {
   request.id = 21;
   request.features = std::array<double, rcl::kNumFeatures>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   request.deadline_ms = 250.5;
-  const std::string wire = rs::format_request(request);
+  const std::string wire = json_request(request);
   EXPECT_NE(wire.find("\"deadline_ms\":"), std::string::npos);
   const auto parsed = rs::parse_request(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
@@ -1006,7 +1022,7 @@ TEST(DeadlineTest, WireRequestDeadlineRoundTripsAndStaysOptional) {
 
   // Absent stays absent (old clients), and a non-finite budget is refused.
   request.deadline_ms.reset();
-  const auto plain = rs::parse_request(rs::format_request(request));
+  const auto plain = rs::parse_request(json_request(request));
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain.value().deadline_ms.has_value());
   EXPECT_FALSE(
@@ -1020,7 +1036,7 @@ TEST(DeadlineTest, ErrorCodeIsRetryableAndRoundTrips) {
   EXPECT_TRUE(rc::is_retryable(rc::ErrorCode::kUnavailable));
   EXPECT_FALSE(rc::is_retryable(rc::ErrorCode::kParseError));
   const auto parsed = rs::parse_response(
-      rs::format_error(3, rc::deadline_exceeded("too late")));
+      json_reply(3, rc::deadline_exceeded("too late")));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_TRUE(parsed.value().error.has_value());
   EXPECT_EQ(parsed.value().error->code, rc::ErrorCode::kDeadlineExceeded);
@@ -1104,7 +1120,7 @@ TEST(SheddingTest, StatsCarryShedAndDeadlineCountersOverTheWire) {
   stats.uptime_s = 1.0;
   stats.shed = 17;
   stats.deadline_exceeded = 5;
-  const auto parsed = rs::parse_response(rs::format_stats_response(2, stats));
+  const auto parsed = rs::parse_response(json_reply(2, rs::RequestKind::kStats, stats));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_TRUE(parsed.value().stats.has_value());
   EXPECT_EQ(parsed.value().stats->shed, 17u);
@@ -1277,12 +1293,12 @@ TEST(SocketTest, PipelinedConnectionAnswersInRequestOrder) {
     request.id = ++id;
     request.kernel = kernel.kernel_name;
     request.features = kernel.counts;
-    wire += rs::format_request(request);
+    wire += json_request(request);
     wire.push_back('\n');
     rs::WireRequest source_request;
     source_request.id = ++id;
     source_request.source = kSourceKernel;
-    wire += rs::format_request(source_request);
+    wire += json_request(source_request);
     wire.push_back('\n');
   }
   wire += R"({"id": 999, "features": "malformed"})";
@@ -1291,7 +1307,7 @@ TEST(SocketTest, PipelinedConnectionAnswersInRequestOrder) {
     rs::WireRequest last;
     last.id = 1000;
     last.source = kSourceKernel;
-    wire += rs::format_request(last);
+    wire += json_request(last);
     wire.push_back('\n');
   }
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
@@ -1662,7 +1678,7 @@ TEST(BinaryProtocolTest, NegotiationDowngradesAgainstPreHelloPeer) {
     std::string line;
     char c = 0;
     while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
-    std::string reply = rs::format_error(
+    std::string reply = json_reply(
         rs::best_effort_id(line),
         rc::parse_error("protocol: unknown request type \"hello\""));
     reply.push_back('\n');
@@ -1854,11 +1870,12 @@ TEST(ObservabilityTest, WireStatsFieldsSurviveBothFramings) {
   stats.streamed = 12;
   stats.peak_message_bytes = 13;
 
-  const std::string framed = rs::binary::format_stats_frame(21, stats);
+  std::string framed;
+  rs::format_reply_into(framed, rs::Framing::kBinary, 21, rs::RequestKind::kStats, stats);
   ASSERT_GE(framed.size(), rs::binary::kHeaderBytes);
   auto from_binary =
       rs::binary::parse_response(framed.substr(rs::binary::kHeaderBytes));
-  auto from_json = rs::parse_response(rs::format_stats_response(21, stats));
+  auto from_json = rs::parse_response(json_reply(21, rs::RequestKind::kStats, stats));
   ASSERT_TRUE(from_binary.ok()) << from_binary.error().message;
   ASSERT_TRUE(from_json.ok()) << from_json.error().message;
 
