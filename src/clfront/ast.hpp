@@ -1,16 +1,24 @@
 // Abstract syntax tree of the OpenCL-C subset.
 //
-// Nodes are tagged with a kind enum and down-cast with the checked as<T>()
-// helpers; ownership is strictly tree-shaped via unique_ptr.
+// Nodes are tagged with a kind enum and down-cast with the as<T>() helpers.
+// Every node, child list and name lives in a common::Arena: the parser
+// allocates them there, a node owns nothing (children are plain pointers,
+// lists are spans, names are views), and no node is ever destroyed — the
+// whole tree dies when its arena is reset or freed. A TranslationUnit from
+// parse_opencl owns its arena; the streaming featurizer parses each
+// function into an arena it resets once the function is summarized.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 #include "clfront/token.hpp"
 #include "clfront/types.hpp"
+#include "common/arena.hpp"
 
 namespace repro::clfront {
 
@@ -35,7 +43,6 @@ enum class ExprKind : std::uint8_t {
 
 struct Expr {
   explicit Expr(ExprKind kind, SourceLoc loc) : kind(kind), loc(loc) {}
-  virtual ~Expr() = default;
   Expr(const Expr&) = delete;
   Expr& operator=(const Expr&) = delete;
 
@@ -48,7 +55,7 @@ struct Expr {
   SourceLoc loc;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = const Expr*;
 
 struct IntLiteralExpr final : Expr {
   IntLiteralExpr(std::uint64_t value, bool is_unsigned, SourceLoc loc)
@@ -65,9 +72,8 @@ struct FloatLiteralExpr final : Expr {
 };
 
 struct VarRefExpr final : Expr {
-  VarRefExpr(std::string name, SourceLoc loc)
-      : Expr(ExprKind::kVarRef, loc), name(std::move(name)) {}
-  std::string name;
+  VarRefExpr(std::string_view name, SourceLoc loc) : Expr(ExprKind::kVarRef, loc), name(name) {}
+  std::string_view name;
 };
 
 enum class UnaryOp : std::uint8_t {
@@ -79,7 +85,7 @@ enum class UnaryOp : std::uint8_t {
 
 struct UnaryExpr final : Expr {
   UnaryExpr(UnaryOp op, ExprPtr operand, SourceLoc loc)
-      : Expr(ExprKind::kUnary, loc), op(op), operand(std::move(operand)) {}
+      : Expr(ExprKind::kUnary, loc), op(op), operand(operand) {}
   UnaryOp op;
   ExprPtr operand;
 };
@@ -93,7 +99,7 @@ enum class BinaryOp : std::uint8_t {
 
 struct BinaryExpr final : Expr {
   BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
-      : Expr(ExprKind::kBinary, loc), op(op), lhs(std::move(lhs)), rhs(std::move(rhs)) {}
+      : Expr(ExprKind::kBinary, loc), op(op), lhs(lhs), rhs(rhs) {}
   BinaryOp op;
   ExprPtr lhs;
   ExprPtr rhs;
@@ -102,7 +108,7 @@ struct BinaryExpr final : Expr {
 /// Assignment, optionally compound (op != nullopt means `lhs op= rhs`).
 struct AssignExpr final : Expr {
   AssignExpr(ExprPtr lhs, ExprPtr rhs, std::optional<BinaryOp> op, SourceLoc loc)
-      : Expr(ExprKind::kAssign, loc), lhs(std::move(lhs)), rhs(std::move(rhs)), op(op) {}
+      : Expr(ExprKind::kAssign, loc), lhs(lhs), rhs(rhs), op(op) {}
   ExprPtr lhs;
   ExprPtr rhs;
   std::optional<BinaryOp> op;
@@ -111,47 +117,47 @@ struct AssignExpr final : Expr {
 struct ConditionalExpr final : Expr {
   ConditionalExpr(ExprPtr cond, ExprPtr then_e, ExprPtr else_e, SourceLoc loc)
       : Expr(ExprKind::kConditional, loc),
-        cond(std::move(cond)),
-        then_expr(std::move(then_e)),
-        else_expr(std::move(else_e)) {}
+        cond(cond),
+        then_expr(then_e),
+        else_expr(else_e) {}
   ExprPtr cond;
   ExprPtr then_expr;
   ExprPtr else_expr;
 };
 
 struct CallExpr final : Expr {
-  CallExpr(std::string callee, std::vector<ExprPtr> args, SourceLoc loc)
-      : Expr(ExprKind::kCall, loc), callee(std::move(callee)), args(std::move(args)) {}
-  std::string callee;
-  std::vector<ExprPtr> args;
+  CallExpr(std::string_view callee, std::span<const ExprPtr> args, SourceLoc loc)
+      : Expr(ExprKind::kCall, loc), callee(callee), args(args) {}
+  std::string_view callee;
+  std::span<const ExprPtr> args;
 };
 
 struct IndexExpr final : Expr {
   IndexExpr(ExprPtr base, ExprPtr index, SourceLoc loc)
-      : Expr(ExprKind::kIndex, loc), base(std::move(base)), index(std::move(index)) {}
+      : Expr(ExprKind::kIndex, loc), base(base), index(index) {}
   ExprPtr base;
   ExprPtr index;
 };
 
 struct MemberExpr final : Expr {
-  MemberExpr(ExprPtr base, std::string member, SourceLoc loc)
-      : Expr(ExprKind::kMember, loc), base(std::move(base)), member(std::move(member)) {}
+  MemberExpr(ExprPtr base, std::string_view member, SourceLoc loc)
+      : Expr(ExprKind::kMember, loc), base(base), member(member) {}
   ExprPtr base;
-  std::string member;  // "x", "y", "s0", "xyzw", ...
+  std::string_view member;  // "x", "y", "s0", "xyzw", ...
 };
 
 struct CastExpr final : Expr {
   CastExpr(Type target, ExprPtr operand, SourceLoc loc)
-      : Expr(ExprKind::kCast, loc), target(target), operand(std::move(operand)) {}
+      : Expr(ExprKind::kCast, loc), target(target), operand(operand) {}
   Type target;
   ExprPtr operand;
 };
 
 struct VectorCtorExpr final : Expr {
-  VectorCtorExpr(Type type, std::vector<ExprPtr> args, SourceLoc loc)
-      : Expr(ExprKind::kVectorCtor, loc), type(type), args(std::move(args)) {}
+  VectorCtorExpr(Type type, std::span<const ExprPtr> args, SourceLoc loc)
+      : Expr(ExprKind::kVectorCtor, loc), type(type), args(args) {}
   Type type;
-  std::vector<ExprPtr> args;
+  std::span<const ExprPtr> args;
 };
 
 // ---------------------------------------------------------------------------
@@ -173,7 +179,6 @@ enum class StmtKind : std::uint8_t {
 
 struct Stmt {
   explicit Stmt(StmtKind kind, SourceLoc loc) : kind(kind), loc(loc) {}
-  virtual ~Stmt() = default;
   Stmt(const Stmt&) = delete;
   Stmt& operator=(const Stmt&) = delete;
 
@@ -186,45 +191,48 @@ struct Stmt {
   SourceLoc loc;
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
+using StmtPtr = const Stmt*;
 
 struct CompoundStmt final : Stmt {
-  explicit CompoundStmt(SourceLoc loc) : Stmt(StmtKind::kCompound, loc) {}
-  std::vector<StmtPtr> body;
+  CompoundStmt(std::span<const StmtPtr> body, SourceLoc loc)
+      : Stmt(StmtKind::kCompound, loc), body(body) {}
+  std::span<const StmtPtr> body;
 };
 
 /// One declared variable; a DeclStmt may declare several.
 struct VarDecl {
-  std::string name;
+  std::string_view name;
   Type type;
-  ExprPtr init;  // may be null
+  ExprPtr init = nullptr;
   /// Array size for local arrays like `__local float tile[256];` (0 = scalar).
   std::uint64_t array_size = 0;
 };
 
 struct DeclStmt final : Stmt {
-  explicit DeclStmt(SourceLoc loc) : Stmt(StmtKind::kDecl, loc) {}
-  std::vector<VarDecl> decls;
+  DeclStmt(std::span<const VarDecl> decls, SourceLoc loc)
+      : Stmt(StmtKind::kDecl, loc), decls(decls) {}
+  std::span<const VarDecl> decls;
 };
 
 struct ExprStmt final : Stmt {
-  ExprStmt(ExprPtr expr, SourceLoc loc) : Stmt(StmtKind::kExpr, loc), expr(std::move(expr)) {}
+  ExprStmt(ExprPtr expr, SourceLoc loc) : Stmt(StmtKind::kExpr, loc), expr(expr) {}
   ExprPtr expr;
 };
 
 struct IfStmt final : Stmt {
   IfStmt(ExprPtr cond, StmtPtr then_s, StmtPtr else_s, SourceLoc loc)
       : Stmt(StmtKind::kIf, loc),
-        cond(std::move(cond)),
-        then_stmt(std::move(then_s)),
-        else_stmt(std::move(else_s)) {}
+        cond(cond),
+        then_stmt(then_s),
+        else_stmt(else_s) {}
   ExprPtr cond;
   StmtPtr then_stmt;
   StmtPtr else_stmt;  // may be null
 };
 
 struct ForStmt final : Stmt {
-  explicit ForStmt(SourceLoc loc) : Stmt(StmtKind::kFor, loc) {}
+  ForStmt(StmtPtr init, ExprPtr cond, ExprPtr step, StmtPtr body, SourceLoc loc)
+      : Stmt(StmtKind::kFor, loc), init(init), cond(cond), step(step), body(body) {}
   StmtPtr init;    // DeclStmt or ExprStmt or null
   ExprPtr cond;    // may be null
   ExprPtr step;    // may be null
@@ -233,21 +241,21 @@ struct ForStmt final : Stmt {
 
 struct WhileStmt final : Stmt {
   WhileStmt(ExprPtr cond, StmtPtr body, SourceLoc loc)
-      : Stmt(StmtKind::kWhile, loc), cond(std::move(cond)), body(std::move(body)) {}
+      : Stmt(StmtKind::kWhile, loc), cond(cond), body(body) {}
   ExprPtr cond;
   StmtPtr body;
 };
 
 struct DoWhileStmt final : Stmt {
   DoWhileStmt(StmtPtr body, ExprPtr cond, SourceLoc loc)
-      : Stmt(StmtKind::kDoWhile, loc), body(std::move(body)), cond(std::move(cond)) {}
+      : Stmt(StmtKind::kDoWhile, loc), body(body), cond(cond) {}
   StmtPtr body;
   ExprPtr cond;
 };
 
 struct ReturnStmt final : Stmt {
   ReturnStmt(ExprPtr value, SourceLoc loc)
-      : Stmt(StmtKind::kReturn, loc), value(std::move(value)) {}
+      : Stmt(StmtKind::kReturn, loc), value(value) {}
   ExprPtr value;  // may be null
 };
 
@@ -264,23 +272,32 @@ struct ContinueStmt final : Stmt {
 // ---------------------------------------------------------------------------
 
 struct ParamDecl {
-  std::string name;
+  std::string_view name;
   Type type;
 };
 
 struct FunctionDecl {
-  std::string name;
+  std::string_view name;
   Type return_type;
-  std::vector<ParamDecl> params;
-  std::unique_ptr<CompoundStmt> body;
+  std::span<const ParamDecl> params;
+  const CompoundStmt* body = nullptr;
   bool is_kernel = false;
   SourceLoc loc;
 };
 
-struct TranslationUnit {
-  std::vector<FunctionDecl> functions;
+/// Everything above is arena storage and is never destroyed.
+static_assert(std::is_trivially_destructible_v<ForStmt> &&
+              std::is_trivially_destructible_v<CallExpr> &&
+              std::is_trivially_destructible_v<VarDecl> &&
+              std::is_trivially_destructible_v<FunctionDecl>);
 
-  [[nodiscard]] const FunctionDecl* find_kernel(const std::string& name) const noexcept {
+/// A parsed source: its functions and the arena that holds them (shared,
+/// so IR lowered from the unit can keep the names it views alive).
+struct TranslationUnit {
+  std::shared_ptr<common::Arena> arena;
+  std::span<const FunctionDecl> functions;
+
+  [[nodiscard]] const FunctionDecl* find_kernel(std::string_view name) const noexcept {
     for (const auto& f : functions) {
       if (f.is_kernel && f.name == name) return &f;
     }

@@ -1,71 +1,138 @@
 #include "clfront/builtins.hpp"
 
-#include <array>
-#include <string_view>
+#include <utility>
+
+#include "clfront/spelling_table.hpp"
 
 namespace repro::clfront {
 
 namespace {
 
-constexpr std::array<std::string_view, 8> kRuntime = {
-    "get_global_id", "get_local_id", "get_group_id",   "get_num_groups",
-    "get_global_size", "get_local_size", "get_work_dim", "get_global_offset",
+/// One builtin spelling: a callee category, or (constant == true) a
+/// numeric constant of the given scalar type.
+struct BuiltinInfo {
+  BuiltinCategory category = BuiltinCategory::kNotBuiltin;
+  bool constant = false;
+  ScalarKind scalar = ScalarKind::kFloat;
 };
 
-constexpr std::array<std::string_view, 4> kBarrier = {
-    "barrier", "mem_fence", "read_mem_fence", "write_mem_fence"};
-
-constexpr std::array<std::string_view, 34> kSpecial = {
-    "sin",        "cos",        "tan",        "asin",        "acos",
-    "atan",       "atan2",      "sinh",       "cosh",        "tanh",
-    "exp",        "exp2",       "exp10",      "log",         "log2",
-    "log10",      "pow",        "powr",       "pown",        "sqrt",
-    "rsqrt",      "cbrt",       "hypot",      "erf",         "erfc",
-    "sincos",     "native_sin", "native_cos", "native_exp",  "native_log",
-    "native_sqrt", "native_rsqrt", "native_powr", "half_sqrt",
-};
-
-constexpr std::array<std::string_view, 18> kCheap = {
-    "fabs", "fmin",  "fmax",  "floor", "ceil",  "round", "trunc", "sign", "step",
-    "min",  "max",   "abs",   "clamp", "select", "smoothstep", "isnan", "isinf",
-    "fract",
-};
-
-constexpr std::array<std::string_view, 3> kMulAdd = {"fma", "mad", "mix"};
-
-constexpr std::array<std::string_view, 4> kDot = {"dot", "length", "distance",
-                                                  "fast_length"};
-
-constexpr std::array<std::string_view, 6> kAtomic = {
-    "atomic_add", "atomic_sub", "atomic_inc", "atomic_dec", "atomic_xchg",
-    "atomic_cmpxchg"};
-
-template <std::size_t N>
-bool contains(const std::array<std::string_view, N>& set, std::string_view name) {
-  for (const auto& s : set) {
-    if (s == name) return true;
+/// The whole builtin library in one compile-time table; the longest
+/// spelling is "CLK_GLOBAL_MEM_FENCE".
+constexpr auto kBuiltinTable = [] {
+  SpellingTable<BuiltinInfo, 20, 256> table;
+  constexpr std::pair<std::string_view, BuiltinCategory> kCallees[] = {
+      {"get_global_id", BuiltinCategory::kRuntime},
+      {"get_local_id", BuiltinCategory::kRuntime},
+      {"get_group_id", BuiltinCategory::kRuntime},
+      {"get_num_groups", BuiltinCategory::kRuntime},
+      {"get_global_size", BuiltinCategory::kRuntime},
+      {"get_local_size", BuiltinCategory::kRuntime},
+      {"get_work_dim", BuiltinCategory::kRuntime},
+      {"get_global_offset", BuiltinCategory::kRuntime},
+      {"barrier", BuiltinCategory::kBarrier},
+      {"mem_fence", BuiltinCategory::kBarrier},
+      {"read_mem_fence", BuiltinCategory::kBarrier},
+      {"write_mem_fence", BuiltinCategory::kBarrier},
+      {"sin", BuiltinCategory::kSpecial},
+      {"cos", BuiltinCategory::kSpecial},
+      {"tan", BuiltinCategory::kSpecial},
+      {"asin", BuiltinCategory::kSpecial},
+      {"acos", BuiltinCategory::kSpecial},
+      {"atan", BuiltinCategory::kSpecial},
+      {"atan2", BuiltinCategory::kSpecial},
+      {"sinh", BuiltinCategory::kSpecial},
+      {"cosh", BuiltinCategory::kSpecial},
+      {"tanh", BuiltinCategory::kSpecial},
+      {"exp", BuiltinCategory::kSpecial},
+      {"exp2", BuiltinCategory::kSpecial},
+      {"exp10", BuiltinCategory::kSpecial},
+      {"log", BuiltinCategory::kSpecial},
+      {"log2", BuiltinCategory::kSpecial},
+      {"log10", BuiltinCategory::kSpecial},
+      {"pow", BuiltinCategory::kSpecial},
+      {"powr", BuiltinCategory::kSpecial},
+      {"pown", BuiltinCategory::kSpecial},
+      {"sqrt", BuiltinCategory::kSpecial},
+      {"rsqrt", BuiltinCategory::kSpecial},
+      {"cbrt", BuiltinCategory::kSpecial},
+      {"hypot", BuiltinCategory::kSpecial},
+      {"erf", BuiltinCategory::kSpecial},
+      {"erfc", BuiltinCategory::kSpecial},
+      {"sincos", BuiltinCategory::kSpecial},
+      {"native_sin", BuiltinCategory::kSpecial},
+      {"native_cos", BuiltinCategory::kSpecial},
+      {"native_exp", BuiltinCategory::kSpecial},
+      {"native_log", BuiltinCategory::kSpecial},
+      {"native_sqrt", BuiltinCategory::kSpecial},
+      {"native_rsqrt", BuiltinCategory::kSpecial},
+      {"native_powr", BuiltinCategory::kSpecial},
+      {"half_sqrt", BuiltinCategory::kSpecial},
+      {"fabs", BuiltinCategory::kCheapMath},
+      {"fmin", BuiltinCategory::kCheapMath},
+      {"fmax", BuiltinCategory::kCheapMath},
+      {"floor", BuiltinCategory::kCheapMath},
+      {"ceil", BuiltinCategory::kCheapMath},
+      {"round", BuiltinCategory::kCheapMath},
+      {"trunc", BuiltinCategory::kCheapMath},
+      {"sign", BuiltinCategory::kCheapMath},
+      {"step", BuiltinCategory::kCheapMath},
+      {"min", BuiltinCategory::kCheapMath},
+      {"max", BuiltinCategory::kCheapMath},
+      {"abs", BuiltinCategory::kCheapMath},
+      {"clamp", BuiltinCategory::kCheapMath},
+      {"select", BuiltinCategory::kCheapMath},
+      {"smoothstep", BuiltinCategory::kCheapMath},
+      {"isnan", BuiltinCategory::kCheapMath},
+      {"isinf", BuiltinCategory::kCheapMath},
+      {"fract", BuiltinCategory::kCheapMath},
+      {"fma", BuiltinCategory::kMulAdd},
+      {"mad", BuiltinCategory::kMulAdd},
+      {"mix", BuiltinCategory::kMulAdd},
+      {"dot", BuiltinCategory::kDot},
+      {"length", BuiltinCategory::kDot},
+      {"distance", BuiltinCategory::kDot},
+      {"fast_length", BuiltinCategory::kDot},
+      {"atomic_add", BuiltinCategory::kAtomic},
+      {"atomic_sub", BuiltinCategory::kAtomic},
+      {"atomic_inc", BuiltinCategory::kAtomic},
+      {"atomic_dec", BuiltinCategory::kAtomic},
+      {"atomic_xchg", BuiltinCategory::kAtomic},
+      {"atomic_cmpxchg", BuiltinCategory::kAtomic},
+  };
+  constexpr std::pair<std::string_view, ScalarKind> kConstants[] = {
+      {"M_PI", ScalarKind::kFloat},        {"M_PI_F", ScalarKind::kFloat},
+      {"M_E", ScalarKind::kFloat},         {"M_E_F", ScalarKind::kFloat},
+      {"M_SQRT2", ScalarKind::kFloat},     {"FLT_MAX", ScalarKind::kFloat},
+      {"FLT_MIN", ScalarKind::kFloat},     {"FLT_EPSILON", ScalarKind::kFloat},
+      {"INFINITY", ScalarKind::kFloat},    {"NAN", ScalarKind::kFloat},
+      {"CLK_LOCAL_MEM_FENCE", ScalarKind::kUInt},
+      {"CLK_GLOBAL_MEM_FENCE", ScalarKind::kUInt},
+      {"INT_MAX", ScalarKind::kInt},       {"INT_MIN", ScalarKind::kInt},
+      {"UINT_MAX", ScalarKind::kUInt},
+  };
+  for (const auto& [name, category] : kCallees) table.insert(name).category = category;
+  for (const auto& [name, scalar] : kConstants) {
+    BuiltinInfo& info = table.insert(name);
+    info.constant = true;
+    info.scalar = scalar;
   }
-  return false;
-}
-
-bool has_prefix(std::string_view name, std::string_view prefix) {
-  return name.size() >= prefix.size() && name.substr(0, prefix.size()) == prefix;
-}
+  return table;
+}();
 
 }  // namespace
 
-BuiltinCategory classify_builtin(const std::string& name) noexcept {
-  const std::string_view n(name);
-  if (contains(kRuntime, n)) return BuiltinCategory::kRuntime;
-  if (contains(kBarrier, n)) return BuiltinCategory::kBarrier;
-  if (contains(kSpecial, n)) return BuiltinCategory::kSpecial;
-  if (contains(kCheap, n)) return BuiltinCategory::kCheapMath;
-  if (contains(kMulAdd, n)) return BuiltinCategory::kMulAdd;
-  if (contains(kDot, n)) return BuiltinCategory::kDot;
-  if (contains(kAtomic, n)) return BuiltinCategory::kAtomic;
-  if (has_prefix(n, "convert_") || has_prefix(n, "as_")) return BuiltinCategory::kConvert;
-  if (has_prefix(n, "vload")) return BuiltinCategory::kNotBuiltin;  // handled in lowering
-  return BuiltinCategory::kNotBuiltin;
+BuiltinCategory classify_builtin(std::string_view name) noexcept {
+  if (const BuiltinInfo* info = kBuiltinTable.find(name)) return info->category;
+  if (name.starts_with("convert_") || name.starts_with("as_")) {
+    return BuiltinCategory::kConvert;
+  }
+  return BuiltinCategory::kNotBuiltin;  // vloadN/vstoreN are handled in lowering
+}
+
+std::optional<Type> builtin_constant_type(std::string_view name) noexcept {
+  const BuiltinInfo* info = kBuiltinTable.find(name);
+  if (info == nullptr || !info->constant) return std::nullopt;
+  return Type{info->scalar, 1, false, AddressSpace::kPrivate};
 }
 
 }  // namespace repro::clfront

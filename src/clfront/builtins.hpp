@@ -1,14 +1,17 @@
 // Classification of the OpenCL builtin library for lowering: which calls are
 // work-item runtime queries, which are transcendental "special functions"
-// (the paper's k_sf feature), and what arithmetic the cheap math helpers
-// expand to.
+// (the paper's k_sf feature), what arithmetic the cheap math helpers
+// expand to, and which identifiers are builtin numeric constants.
 #pragma once
 
-#include <string>
+#include <optional>
+#include <string_view>
+
+#include "clfront/types.hpp"
 
 namespace repro::clfront {
 
-enum class BuiltinCategory {
+enum class BuiltinCategory : std::uint8_t {
   kNotBuiltin,   // user-defined function
   kRuntime,      // get_global_id & friends — no feature contribution
   kBarrier,      // barrier / mem_fence — synchronization only
@@ -21,6 +24,10 @@ enum class BuiltinCategory {
 };
 
 /// Classify a callee name.
-[[nodiscard]] BuiltinCategory classify_builtin(const std::string& name) noexcept;
+[[nodiscard]] BuiltinCategory classify_builtin(std::string_view name) noexcept;
+
+/// Type of a builtin numeric constant accepted as an identifier (M_PI,
+/// FLT_MAX, CLK_LOCAL_MEM_FENCE, ...), or nullopt.
+[[nodiscard]] std::optional<Type> builtin_constant_type(std::string_view name) noexcept;
 
 }  // namespace repro::clfront

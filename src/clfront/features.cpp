@@ -70,11 +70,14 @@ FunctionSummary summarize(const IrFunction& ir) {
   FunctionSummary summary;
   summary.name = ir.name;
   summary.is_kernel = ir.is_kernel;
+  summary.calls.reserve(static_cast<std::size_t>(std::count_if(
+      ir.body.begin(), ir.body.end(),
+      [](const Instruction& inst) { return inst.op == Opcode::kCall; })));
   for (const auto& inst : ir.body) {
     if (const auto f = feature_index(inst.op)) {
       summary.counts[static_cast<std::size_t>(*f)] += static_cast<double>(inst.width);
     } else if (inst.op == Opcode::kCall) {
-      summary.calls.push_back(inst.detail);
+      summary.calls.emplace_back(inst.callee);
     }
   }
   return summary;
@@ -82,24 +85,25 @@ FunctionSummary summarize(const IrFunction& ir) {
 
 CallResolver::CallResolver(std::span<const FunctionSummary> functions)
     : functions_(functions), nodes_(functions.size()) {
-  by_name_.reserve(functions.size());
   for (std::uint32_t i = 0; i < functions.size(); ++i) {
-    nodes_[i].first = by_name_.try_emplace(functions[i].name, i).first->second;
+    const auto [first, added] = by_name_.insert(functions[i].name);
+    if (added) *first = i;
+    nodes_[i].first = *first;
   }
   callee_begin_.reserve(functions.size() + 1);
   for (const auto& fn : functions) {
     callee_begin_.push_back(callees_.size());
     for (const auto& call : fn.calls) {
-      const auto it = by_name_.find(call);
-      callees_.push_back(it == by_name_.end() ? kMissing : it->second);
+      const std::uint32_t* first = by_name_.find(call);
+      callees_.push_back(first == nullptr ? kMissing : *first);
     }
   }
   callee_begin_.push_back(callees_.size());
 }
 
 const FunctionSummary* CallResolver::find(std::string_view name) const noexcept {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &functions_[it->second];
+  const std::uint32_t* first = by_name_.find(name);
+  return first == nullptr ? nullptr : &functions_[*first];
 }
 
 common::Status CallResolver::visit(std::uint32_t index, std::size_t depth) {

@@ -15,10 +15,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "clfront/ir.hpp"
+#include "clfront/name_map.hpp"
 #include "common/status.hpp"
 
 namespace repro::clfront {
@@ -126,7 +126,7 @@ class CallResolver {
   common::Status visit(std::uint32_t index, std::size_t depth);
 
   std::span<const FunctionSummary> functions_;
-  std::unordered_map<std::string_view, std::uint32_t> by_name_;
+  NameMap<std::uint32_t> by_name_;           // first definition of each name
   std::vector<std::uint32_t> callees_;       // every call site, resolved
   std::vector<std::size_t> callee_begin_;    // per function, into callees_
   std::vector<Node> nodes_;

@@ -33,6 +33,14 @@ const char* opcode_name(Opcode op) noexcept {
 
 namespace {
 
+std::string label_name(Label label) {
+  static constexpr const char* kStems[] = {
+      "if_then",   "if_else",    "if_end",    "for_cond", "for_body", "for_end",
+      "while_cond", "while_body", "while_end", "do_body",  "do_cond",  "do_end",
+  };
+  return kStems[static_cast<std::size_t>(label.stem)] + std::to_string(label.id);
+}
+
 bool is_feature_opcode(Opcode op) noexcept {
   switch (op) {
     case Opcode::kIAdd:
@@ -65,31 +73,29 @@ double IrFunction::feature_instruction_count() const noexcept {
 
 common::Status verify_ir(const IrModule& module) {
   for (const auto& fn : module.functions) {
-    std::set<std::string> labels;
+    const std::string fn_name(fn.name);
+    std::set<std::pair<LabelStem, std::uint32_t>> labels;
     for (const auto& inst : fn.body) {
       if (inst.width <= 0) {
-        return common::internal_error("ir verify: non-positive width in " + fn.name);
+        return common::internal_error("ir verify: non-positive width in " + fn_name);
       }
-      if (inst.op == Opcode::kLabel) labels.insert(inst.detail);
+      if (inst.op == Opcode::kLabel) labels.emplace(inst.target.stem, inst.target.id);
     }
+    const auto check_target = [&](Label label) {
+      if (labels.count({label.stem, label.id}) != 0) return common::Status::Ok();
+      return common::Status(common::internal_error(
+          "ir verify: branch to unknown label '" + label_name(label) + "' in " + fn_name));
+    };
     for (const auto& inst : fn.body) {
       if (inst.op == Opcode::kBr || inst.op == Opcode::kCondBr) {
-        // CondBr detail: "then,else" — every referenced label must exist.
-        std::string rest = inst.detail;
-        while (!rest.empty()) {
-          const auto comma = rest.find(',');
-          const std::string label = rest.substr(0, comma);
-          if (!label.empty() && labels.count(label) == 0) {
-            return common::internal_error("ir verify: branch to unknown label '" + label +
-                                          "' in " + fn.name);
-          }
-          if (comma == std::string::npos) break;
-          rest = rest.substr(comma + 1);
-        }
+        if (auto st = check_target(inst.target); !st.ok()) return st;
       }
-      if (inst.op == Opcode::kCall && module.find(inst.detail) == nullptr) {
+      if (inst.op == Opcode::kCondBr) {
+        if (auto st = check_target(inst.other); !st.ok()) return st;
+      }
+      if (inst.op == Opcode::kCall && module.find(inst.callee) == nullptr) {
         return common::internal_error("ir verify: call to unknown function '" +
-                                      inst.detail + "' in " + fn.name);
+                                      std::string(inst.callee) + "' in " + fn_name);
       }
     }
   }
@@ -102,12 +108,18 @@ std::string dump_ir(const IrModule& module) {
     oss << (fn.is_kernel ? "kernel " : "") << "func @" << fn.name << " {\n";
     for (const auto& inst : fn.body) {
       if (inst.op == Opcode::kLabel) {
-        oss << inst.detail << ":\n";
+        oss << label_name(inst.target) << ":\n";
         continue;
       }
       oss << "  " << opcode_name(inst.op);
       if (inst.width > 1) oss << " x" << inst.width;
-      if (!inst.detail.empty()) oss << " @" << inst.detail;
+      if (inst.op == Opcode::kBr) {
+        oss << " @" << label_name(inst.target);
+      } else if (inst.op == Opcode::kCondBr) {
+        oss << " @" << label_name(inst.target) << ',' << label_name(inst.other);
+      } else if (!inst.callee.empty()) {
+        oss << " @" << inst.callee;
+      }
       oss << '\n';
     }
     oss << "}\n";

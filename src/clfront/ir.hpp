@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clfront/token.hpp"
+#include "common/arena.hpp"
 #include "common/status.hpp"
 
 namespace repro::clfront {
@@ -44,17 +47,36 @@ enum class Opcode : std::uint8_t {
 
 [[nodiscard]] const char* opcode_name(Opcode op) noexcept;
 
+/// The kinds of branch target lowering creates.
+enum class LabelStem : std::uint8_t {
+  kIfThen, kIfElse, kIfEnd,
+  kForCond, kForBody, kForEnd,
+  kWhileCond, kWhileBody, kWhileEnd,
+  kDoBody, kDoCond, kDoEnd,
+};
+
+/// A branch target: its stem and a number unique within the function. It
+/// prints as both run together ("while_cond3").
+struct Label {
+  LabelStem stem = LabelStem::kIfThen;
+  std::uint32_t id = 0;
+};
+
 struct Instruction {
   Opcode op = Opcode::kIAdd;
   /// Vector width of the operation (a float4 add counts as 4 float adds).
   int width = 1;
-  /// Callee for kCall, label id for kBr/kCondBr/kLabel (as text).
-  std::string detail;
+  /// Callee of kCall and of builtin calls, empty otherwise: a view of the
+  /// name storage of the AST the function was lowered from.
+  std::string_view callee;
+  /// kLabel and kBr: the label. kCondBr: the taken and the other target.
+  Label target;
+  Label other;
   SourceLoc loc;
 };
 
 struct IrFunction {
-  std::string name;
+  std::string_view name;  // views the AST's name storage, like callees
   bool is_kernel = false;
   std::vector<Instruction> body;
 
@@ -63,9 +85,13 @@ struct IrFunction {
 };
 
 struct IrModule {
+  /// The arena of the unit the module was lowered from, which the names
+  /// of its functions and callees view; shared so the module may outlive
+  /// the unit.
+  std::shared_ptr<const common::Arena> names;
   std::vector<IrFunction> functions;
 
-  [[nodiscard]] const IrFunction* find(const std::string& name) const noexcept {
+  [[nodiscard]] const IrFunction* find(std::string_view name) const noexcept {
     for (const auto& f : functions) {
       if (f.name == name) return &f;
     }

@@ -6,117 +6,73 @@
 #include <cstdlib>
 #include <utility>
 
+#include "clfront/spelling_table.hpp"
+
 namespace repro::clfront {
 
 namespace {
 
-/// The longest classified spelling ("__constant"); longer words are plain
-/// identifiers without a table probe.
-constexpr std::size_t kMaxWordLength = 10;
-
-struct WordSlot {
-  std::array<char, kMaxWordLength> text{};
-  std::uint8_t length = 0;  // 0: empty slot
+/// What the lexer knows about one reserved spelling: its keyword id and,
+/// for type names, the scalar kind and vector width (0: not a type name).
+struct WordInfo {
   Keyword keyword = Keyword::kNone;
   ScalarKind scalar = ScalarKind::kInt;
-  std::uint8_t width = 0;  // 0: not a type name
+  std::uint8_t width = 0;
 };
 
-/// Every keyword and type spelling of the subset in one open-addressing
-/// table, built at compile time: each identifier costs one hash and, in
-/// the common case, one length compare.
-class WordTable {
- public:
-  constexpr WordTable() {
-    constexpr std::pair<std::string_view, Keyword> kKeywords[] = {
-        {"kernel", Keyword::kKernel},       {"__kernel", Keyword::kKernel},
-        {"global", Keyword::kGlobal},       {"__global", Keyword::kGlobal},
-        {"local", Keyword::kLocal},         {"__local", Keyword::kLocal},
-        {"constant", Keyword::kConstant},   {"__constant", Keyword::kConstant},
-        {"private", Keyword::kPrivate},     {"__private", Keyword::kPrivate},
-        {"const", Keyword::kConst},         {"restrict", Keyword::kRestrict},
-        {"volatile", Keyword::kVolatile},   {"unsigned", Keyword::kUnsigned},
-        {"signed", Keyword::kSigned},       {"size_t", Keyword::kType},
-        {"if", Keyword::kIf},               {"else", Keyword::kElse},
-        {"for", Keyword::kFor},             {"while", Keyword::kWhile},
-        {"do", Keyword::kDo},               {"return", Keyword::kReturn},
-        {"break", Keyword::kBreak},         {"continue", Keyword::kContinue},
-        {"struct", Keyword::kStruct},
-    };
-    constexpr std::pair<std::string_view, ScalarKind> kScalars[] = {
-        {"void", ScalarKind::kVoid},     {"bool", ScalarKind::kBool},
-        {"char", ScalarKind::kChar},     {"uchar", ScalarKind::kUChar},
-        {"short", ScalarKind::kShort},   {"ushort", ScalarKind::kUShort},
-        {"int", ScalarKind::kInt},       {"uint", ScalarKind::kUInt},
-        {"long", ScalarKind::kLong},     {"ulong", ScalarKind::kULong},
-        {"float", ScalarKind::kFloat},   {"double", ScalarKind::kDouble},
-        {"half", ScalarKind::kHalf},
-    };
-    for (const auto& [word, keyword] : kKeywords) insert(word).keyword = keyword;
-    set_type(insert("size_t"), ScalarKind::kULong, 1);
-    set_type(insert("unsigned"), ScalarKind::kUInt, 1);
-    // Scalar type keywords, and their vectors (float4, uchar16, …) as plain
-    // identifiers: void and bool have no vector forms.
-    for (const auto& [base, scalar] : kScalars) {
-      WordSlot& slot = insert(base);
-      slot.keyword = Keyword::kType;
-      set_type(slot, scalar, 1);
-      if (scalar == ScalarKind::kVoid || scalar == ScalarKind::kBool) continue;
-      for (const int width : {2, 3, 4, 8, 16}) {
-        std::array<char, kMaxWordLength> name{};
-        std::size_t n = 0;
-        for (const char c : base) name[n++] = c;
-        if (width >= 10) name[n++] = static_cast<char>('0' + width / 10);
-        name[n++] = static_cast<char>('0' + width % 10);
-        set_type(insert(std::string_view(name.data(), n)), scalar, width);
-      }
+/// Every keyword and type spelling of the subset (~100 of them; the longest
+/// is "__constant"), built at compile time.
+constexpr auto kWordTable = [] {
+  SpellingTable<WordInfo, 10, 256> table;
+  constexpr std::pair<std::string_view, Keyword> kKeywords[] = {
+      {"kernel", Keyword::kKernel},       {"__kernel", Keyword::kKernel},
+      {"global", Keyword::kGlobal},       {"__global", Keyword::kGlobal},
+      {"local", Keyword::kLocal},         {"__local", Keyword::kLocal},
+      {"constant", Keyword::kConstant},   {"__constant", Keyword::kConstant},
+      {"private", Keyword::kPrivate},     {"__private", Keyword::kPrivate},
+      {"const", Keyword::kConst},         {"restrict", Keyword::kRestrict},
+      {"volatile", Keyword::kVolatile},   {"unsigned", Keyword::kUnsigned},
+      {"signed", Keyword::kSigned},       {"size_t", Keyword::kType},
+      {"if", Keyword::kIf},               {"else", Keyword::kElse},
+      {"for", Keyword::kFor},             {"while", Keyword::kWhile},
+      {"do", Keyword::kDo},               {"return", Keyword::kReturn},
+      {"break", Keyword::kBreak},         {"continue", Keyword::kContinue},
+      {"struct", Keyword::kStruct},
+  };
+  constexpr std::pair<std::string_view, ScalarKind> kScalars[] = {
+      {"void", ScalarKind::kVoid},     {"bool", ScalarKind::kBool},
+      {"char", ScalarKind::kChar},     {"uchar", ScalarKind::kUChar},
+      {"short", ScalarKind::kShort},   {"ushort", ScalarKind::kUShort},
+      {"int", ScalarKind::kInt},       {"uint", ScalarKind::kUInt},
+      {"long", ScalarKind::kLong},     {"ulong", ScalarKind::kULong},
+      {"float", ScalarKind::kFloat},   {"double", ScalarKind::kDouble},
+      {"half", ScalarKind::kHalf},
+  };
+  const auto set_type = [](WordInfo& info, ScalarKind scalar, int width) {
+    info.scalar = scalar;
+    info.width = static_cast<std::uint8_t>(width);
+  };
+  for (const auto& [word, keyword] : kKeywords) table.insert(word).keyword = keyword;
+  set_type(table.insert("size_t"), ScalarKind::kULong, 1);
+  set_type(table.insert("unsigned"), ScalarKind::kUInt, 1);
+  // Scalar type keywords, and their vectors (float4, uchar16, …) as plain
+  // identifiers: void and bool have no vector forms.
+  for (const auto& [base, scalar] : kScalars) {
+    WordInfo& info = table.insert(base);
+    info.keyword = Keyword::kType;
+    set_type(info, scalar, 1);
+    if (scalar == ScalarKind::kVoid || scalar == ScalarKind::kBool) continue;
+    for (const int width : {2, 3, 4, 8, 16}) {
+      std::array<char, 10> name{};
+      std::size_t n = 0;
+      for (const char c : base) name[n++] = c;
+      if (width >= 10) name[n++] = static_cast<char>('0' + width / 10);
+      name[n++] = static_cast<char>('0' + width % 10);
+      set_type(table.insert(std::string_view(name.data(), n)), scalar, width);
     }
   }
-
-  [[nodiscard]] constexpr const WordSlot* find(std::string_view word) const noexcept {
-    if (word.empty() || word.size() > kMaxWordLength) return nullptr;
-    for (std::size_t i = hash(word);; i = (i + 1) % kSlots) {
-      const WordSlot& slot = slots_[i];
-      if (slot.length == 0) return nullptr;
-      if (slot.length == word.size() &&
-          std::string_view(slot.text.data(), slot.length) == word) {
-        return &slot;
-      }
-    }
-  }
-
- private:
-  static constexpr std::size_t kSlots = 256;  // ~100 spellings: short probes
-
-  static constexpr std::size_t hash(std::string_view word) noexcept {
-    std::uint32_t h = 2166136261u;  // FNV-1a
-    for (const char c : word) {
-      h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-    }
-    return h % kSlots;
-  }
-
-  static constexpr void set_type(WordSlot& slot, ScalarKind scalar, int width) {
-    slot.scalar = scalar;
-    slot.width = static_cast<std::uint8_t>(width);
-  }
-
-  constexpr WordSlot& insert(std::string_view word) {
-    for (std::size_t i = hash(word);; i = (i + 1) % kSlots) {
-      WordSlot& slot = slots_[i];
-      if (slot.length == 0) {
-        for (std::size_t j = 0; j < word.size(); ++j) slot.text[j] = word[j];
-        slot.length = static_cast<std::uint8_t>(word.size());
-        return slot;
-      }
-      if (std::string_view(slot.text.data(), slot.length) == word) return slot;
-    }
-  }
-
-  std::array<WordSlot, kSlots> slots_{};
-};
-
-constexpr WordTable kWordTable;
+  return table;
+}();
 
 /// ASCII character classes — what <cctype> answers in the "C" locale, which
 /// this library never changes — as one table lookup.
@@ -151,10 +107,10 @@ constexpr bool is_ident_char(char c) noexcept {
 
 WordClass classify_word(std::string_view word) noexcept {
   WordClass out;
-  if (const WordSlot* slot = kWordTable.find(word)) {
-    out.keyword = slot->keyword;
-    if (slot->width != 0) {
-      out.type = Type{slot->scalar, slot->width, false, AddressSpace::kPrivate};
+  if (const WordInfo* info = kWordTable.find(word)) {
+    out.keyword = info->keyword;
+    if (info->width != 0) {
+      out.type = Type{info->scalar, info->width, false, AddressSpace::kPrivate};
     }
   }
   return out;

@@ -1,12 +1,15 @@
 #include "clfront/lower.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "clfront/builtins.hpp"
+#include "clfront/name_map.hpp"
+#include "common/arena.hpp"
 
 namespace repro::clfront {
 
@@ -24,44 +27,26 @@ struct LowerError {
 /// Unknown user-call failures carry kNotFound so LowerSession callers (the
 /// streaming featurizer) can distinguish "callee not declared *yet*" from a
 /// genuine lowering error and defer the function until the stream ends.
-[[noreturn]] void fail_unknown_callee(SourceLoc loc, const std::string& callee) {
+[[noreturn]] void fail_unknown_callee(SourceLoc loc, std::string_view callee) {
   throw LowerError{common::not_found("line " + std::to_string(loc.line) + ":" +
                                      std::to_string(loc.column) +
-                                     ": call to unknown function '" + callee + "'")};
-}
-
-/// Builtin numeric constants accepted as identifiers.
-std::optional<Type> builtin_constant_type(const std::string& name) {
-  static const std::map<std::string, Type> kConstants = {
-      {"M_PI", Type::float_type()},        {"M_PI_F", Type::float_type()},
-      {"M_E", Type::float_type()},         {"M_E_F", Type::float_type()},
-      {"M_SQRT2", Type::float_type()},     {"FLT_MAX", Type::float_type()},
-      {"FLT_MIN", Type::float_type()},     {"FLT_EPSILON", Type::float_type()},
-      {"INFINITY", Type::float_type()},    {"NAN", Type::float_type()},
-      {"CLK_LOCAL_MEM_FENCE", Type::uint_type()},
-      {"CLK_GLOBAL_MEM_FENCE", Type::uint_type()},
-      {"INT_MAX", Type::int_type()},       {"INT_MIN", Type::int_type()},
-      {"UINT_MAX", Type::uint_type()},
-  };
-  const auto it = kConstants.find(name);
-  if (it == kConstants.end()) return std::nullopt;
-  return it->second;
+                                     ": call to unknown function '" + std::string(callee) +
+                                     "'")};
 }
 
 /// Return type encoded in convert_*/as_* builtins ("convert_float4" etc).
-std::optional<Type> conversion_target(const std::string& callee) {
-  const std::string_view name(callee);
+std::optional<Type> conversion_target(std::string_view name) {
   if (name.starts_with("convert_")) return parse_type_name(name.substr(8));
   if (name.starts_with("as_")) return parse_type_name(name.substr(3));
   return std::nullopt;
 }
 
 /// vloadN / vstoreN width (0 if not a vload/vstore name).
-int vload_width(const std::string& name, bool* is_store) {
-  const bool load = name.rfind("vload", 0) == 0;
-  const bool store = name.rfind("vstore", 0) == 0;
+int vload_width(std::string_view name, bool* is_store) {
+  const bool load = name.starts_with("vload");
+  const bool store = name.starts_with("vstore");
   if (!load && !store) return 0;
-  const std::string suffix = name.substr(load ? 5 : 6);
+  const std::string_view suffix = name.substr(load ? 5 : 6);
   int width = 0;
   if (suffix == "2") width = 2;
   else if (suffix == "3") width = 3;
@@ -72,54 +57,111 @@ int vload_width(const std::string& name, bool* is_store) {
   return width;
 }
 
+/// Width a swizzle selects: .x -> 1, .xy -> 2, .lo/.hi/.odd/.even -> half
+/// of `base_width`, .s0 -> 1.
+int swizzle_width(std::string_view member, int base_width) {
+  if (member == "lo" || member == "hi" || member == "odd" || member == "even") {
+    return std::max(1, base_width / 2);
+  }
+  if (member.size() > 1 && member[0] != 's') return static_cast<int>(member.size());
+  return 1;
+}
+
+}  // namespace
+
+/// One function at a time, into buffers kept from one function to the next.
+///
+/// Scopes are one name table: each name maps to its innermost visible
+/// binding, and declaring a name saves the binding it shadows on an undo
+/// stack that closing the scope unwinds — O(1) expected per declaration
+/// and lookup, however many locals a function has.
 class Lowerer {
  public:
-  explicit Lowerer(const std::map<std::string, FunctionSignature>& signatures)
-      : signatures_(signatures) {}
+  /// Register `fn` as a call target; the first definition of a name wins.
+  void declare_function(const FunctionDecl& fn) {
+    if (signatures_.find(fn.name) != nullptr) return;
+    // The table's key must outlive `fn`: it views a copy of the name.
+    char* name = static_cast<char*>(signature_names_.allocate(fn.name.size(), 1));
+    std::memcpy(name, fn.name.data(), fn.name.size());
+    *signatures_.insert(std::string_view(name, fn.name.size())).first =
+        FunctionSignature{fn.return_type, fn.params.size()};
+  }
 
-  IrFunction lower_function(const FunctionDecl& fn) {
-    current_ = IrFunction{};
+  const IrFunction& lower_function(const FunctionDecl& fn) {
     current_.name = fn.name;
     current_.is_kernel = fn.is_kernel;
+    current_.body.clear();
     label_counter_ = 0;
-    scopes_.clear();
+    bindings_.clear();
+    shadowed_.clear();
+    scope_starts_.clear();
     loop_stack_.clear();
     push_scope();
     for (const auto& param : fn.params) declare(param.name, param.type, fn.loc);
     lower_stmt(*fn.body);
     emit(Opcode::kRet, 1);
     pop_scope();
-    return std::move(current_);
+    return current_;
   }
 
  private:
   // --- function / scope management ----------------------------------------
 
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
+  struct Binding {
+    Type type;
+    std::uint32_t depth = 0;  // scope nesting level of the declaration
+    bool visible = false;     // false: no binding (only a shadowed slot)
+  };
+  struct Shadowed {
+    std::string_view name;
+    Binding previous;
+  };
 
-  void declare(const std::string& name, Type type, SourceLoc loc) {
-    if (scopes_.back().count(name) != 0) fail(loc, "redeclaration of '" + name + "'");
-    scopes_.back()[name] = type;
+  void push_scope() { scope_starts_.push_back(shadowed_.size()); }
+
+  void pop_scope() {
+    const std::size_t start = scope_starts_.back();
+    scope_starts_.pop_back();
+    while (shadowed_.size() > start) {
+      *bindings_.find(shadowed_.back().name) = shadowed_.back().previous;
+      shadowed_.pop_back();
+    }
   }
 
-  [[nodiscard]] std::optional<Type> lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto found = it->find(name);
-      if (found != it->end()) return found->second;
+  void declare(std::string_view name, Type type, SourceLoc loc) {
+    const auto depth = static_cast<std::uint32_t>(scope_starts_.size());
+    Binding& binding = *bindings_.insert(name).first;
+    if (binding.visible && binding.depth == depth) {
+      fail(loc, "redeclaration of '" + std::string(name) + "'");
+    }
+    shadowed_.push_back({name, binding});
+    binding = Binding{type, depth, true};
+  }
+
+  [[nodiscard]] std::optional<Type> lookup(std::string_view name) const {
+    if (const Binding* binding = bindings_.find(name); binding && binding->visible) {
+      return binding->type;
     }
     return builtin_constant_type(name);
   }
 
   // --- emission helpers -----------------------------------------------------
 
-  void emit(Opcode op, int width, std::string detail = {}, SourceLoc loc = {}) {
-    current_.body.push_back(Instruction{op, width, std::move(detail), loc});
+  void emit(Opcode op, int width, std::string_view callee = {}, SourceLoc loc = {}) {
+    current_.body.push_back(Instruction{op, width, callee, {}, {}, loc});
   }
 
-  std::string new_label(const char* stem) {
-    return std::string(stem) + std::to_string(label_counter_++);
+  void emit_label(Label label, SourceLoc loc) {
+    current_.body.push_back(Instruction{Opcode::kLabel, 1, {}, label, {}, loc});
   }
+  void emit_br(Label target, SourceLoc loc) {
+    current_.body.push_back(Instruction{Opcode::kBr, 1, {}, target, {}, loc});
+  }
+  void emit_cond_br(Label taken, Label other, SourceLoc loc) {
+    current_.body.push_back(Instruction{Opcode::kCondBr, 1, {}, taken, other, loc});
+  }
+
+  Label new_label(LabelStem stem) { return Label{stem, label_counter_++}; }
 
   /// Add-class opcode for a type (integer vs floating compare/add/select).
   static Opcode add_class(const Type& t) {
@@ -197,24 +239,14 @@ class Lowerer {
   /// and describe where the store goes.
   LValue lower_lvalue(const Expr& e) {
     switch (e.kind) {
-      case ExprKind::kVarRef: {
-        const auto type = lookup(e.as<VarRefExpr>().name);
-        if (!type) fail(e.loc, "undeclared identifier '" + e.as<VarRefExpr>().name + "'");
-        return LValue{false, Opcode::kIAdd, *type};
-      }
+      case ExprKind::kVarRef:
+        return LValue{false, Opcode::kIAdd, lookup_var(e.as<VarRefExpr>())};
       case ExprKind::kMember: {
         // Vector component write: the base must itself be an lvalue. Memory
         // bases (a[i].x = ...) write through; register bases are free.
         const auto& node = e.as<MemberExpr>();
         LValue out = lower_lvalue(*node.base);
-        int width = 1;
-        if (node.member == "lo" || node.member == "hi" || node.member == "odd" ||
-            node.member == "even") {
-          width = std::max(1, out.type.width / 2);
-        } else if (node.member.size() > 1 && node.member[0] != 's') {
-          width = static_cast<int>(node.member.size());
-        }
-        out.type = out.type.with_width(width);
+        out.type = out.type.with_width(swizzle_width(node.member, out.type.width));
         return out;
       }
       case ExprKind::kIndex: {
@@ -240,6 +272,12 @@ class Lowerer {
 
   // --- expressions -----------------------------------------------------------
 
+  Type lookup_var(const VarRefExpr& node) const {
+    const auto type = lookup(node.name);
+    if (!type) fail(node.loc, "undeclared identifier '" + std::string(node.name) + "'");
+    return *type;
+  }
+
   Type lower_expr(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntLiteral:
@@ -249,12 +287,7 @@ class Lowerer {
         if (!e.as<FloatLiteralExpr>().is_float32) t.scalar = ScalarKind::kDouble;
         return t;
       }
-      case ExprKind::kVarRef: {
-        const auto& node = e.as<VarRefExpr>();
-        const auto type = lookup(node.name);
-        if (!type) fail(e.loc, "undeclared identifier '" + node.name + "'");
-        return *type;
-      }
+      case ExprKind::kVarRef: return lookup_var(e.as<VarRefExpr>());
       case ExprKind::kUnary: return lower_unary(e.as<UnaryExpr>());
       case ExprKind::kBinary: return lower_binary(e.as<BinaryExpr>());
       case ExprKind::kAssign: return lower_assign(e.as<AssignExpr>());
@@ -283,15 +316,7 @@ class Lowerer {
       case ExprKind::kMember: {
         const auto& node = e.as<MemberExpr>();
         const Type base = lower_expr(*node.base);
-        // Swizzle width: .x -> 1, .xy -> 2, .lo/.hi -> half, .s0 -> 1.
-        int width = 1;
-        if (node.member == "lo" || node.member == "hi" || node.member == "odd" ||
-            node.member == "even") {
-          width = std::max(1, base.width / 2);
-        } else if (node.member.size() > 1 && node.member[0] != 's') {
-          width = static_cast<int>(node.member.size());
-        }
-        return base.with_width(width);
+        return base.with_width(swizzle_width(node.member, base.width));
       }
       case ExprKind::kCast: {
         const auto& node = e.as<CastExpr>();
@@ -428,7 +453,9 @@ class Lowerer {
       case BuiltinCategory::kConvert: {
         for (const auto& arg : node.args) lower_expr(*arg);
         const auto target = conversion_target(node.callee);
-        if (!target) fail(node.loc, "malformed conversion '" + node.callee + "'");
+        if (!target) {
+          fail(node.loc, "malformed conversion '" + std::string(node.callee) + "'");
+        }
         emit(Opcode::kCast, target->width, node.callee, node.loc);
         return *target;
       }
@@ -460,16 +487,14 @@ class Lowerer {
     }
 
     // User-defined function.
-    const auto it = signatures_.find(node.callee);
-    if (it == signatures_.end()) {
-      fail_unknown_callee(node.loc, node.callee);
-    }
-    if (node.args.size() != it->second.num_params) {
-      fail(node.loc, "wrong number of arguments to '" + node.callee + "'");
+    const FunctionSignature* signature = signatures_.find(node.callee);
+    if (signature == nullptr) fail_unknown_callee(node.loc, node.callee);
+    if (node.args.size() != signature->num_params) {
+      fail(node.loc, "wrong number of arguments to '" + std::string(node.callee) + "'");
     }
     for (const auto& arg : node.args) lower_expr(*arg);
     emit(Opcode::kCall, 1, node.callee, node.loc);
-    return it->second.return_type;
+    return signature->return_type;
   }
 
   // --- statements ------------------------------------------------------------
@@ -498,68 +523,68 @@ class Lowerer {
       case StmtKind::kIf: {
         const auto& node = s.as<IfStmt>();
         lower_expr(*node.cond);
-        const std::string then_label = new_label("if_then");
-        const std::string else_label = new_label("if_else");
-        const std::string end_label = new_label("if_end");
-        emit(Opcode::kCondBr, 1, then_label + "," + else_label, s.loc);
-        emit(Opcode::kLabel, 1, then_label, s.loc);
+        const Label then_label = new_label(LabelStem::kIfThen);
+        const Label else_label = new_label(LabelStem::kIfElse);
+        const Label end_label = new_label(LabelStem::kIfEnd);
+        emit_cond_br(then_label, else_label, s.loc);
+        emit_label(then_label, s.loc);
         lower_stmt(*node.then_stmt);
-        emit(Opcode::kBr, 1, end_label, s.loc);
-        emit(Opcode::kLabel, 1, else_label, s.loc);
+        emit_br(end_label, s.loc);
+        emit_label(else_label, s.loc);
         if (node.else_stmt) lower_stmt(*node.else_stmt);
-        emit(Opcode::kBr, 1, end_label, s.loc);
-        emit(Opcode::kLabel, 1, end_label, s.loc);
+        emit_br(end_label, s.loc);
+        emit_label(end_label, s.loc);
         break;
       }
       case StmtKind::kFor: {
         const auto& node = s.as<ForStmt>();
         push_scope();
         if (node.init) lower_stmt(*node.init);
-        const std::string cond_label = new_label("for_cond");
-        const std::string body_label = new_label("for_body");
-        const std::string end_label = new_label("for_end");
-        emit(Opcode::kLabel, 1, cond_label, s.loc);
+        const Label cond_label = new_label(LabelStem::kForCond);
+        const Label body_label = new_label(LabelStem::kForBody);
+        const Label end_label = new_label(LabelStem::kForEnd);
+        emit_label(cond_label, s.loc);
         if (node.cond) lower_expr(*node.cond);
-        emit(Opcode::kCondBr, 1, body_label + "," + end_label, s.loc);
-        emit(Opcode::kLabel, 1, body_label, s.loc);
+        emit_cond_br(body_label, end_label, s.loc);
+        emit_label(body_label, s.loc);
         loop_stack_.push_back({cond_label, end_label});
         lower_stmt(*node.body);
         if (node.step) lower_expr(*node.step);
         loop_stack_.pop_back();
-        emit(Opcode::kBr, 1, cond_label, s.loc);
-        emit(Opcode::kLabel, 1, end_label, s.loc);
+        emit_br(cond_label, s.loc);
+        emit_label(end_label, s.loc);
         pop_scope();
         break;
       }
       case StmtKind::kWhile: {
         const auto& node = s.as<WhileStmt>();
-        const std::string cond_label = new_label("while_cond");
-        const std::string body_label = new_label("while_body");
-        const std::string end_label = new_label("while_end");
-        emit(Opcode::kLabel, 1, cond_label, s.loc);
+        const Label cond_label = new_label(LabelStem::kWhileCond);
+        const Label body_label = new_label(LabelStem::kWhileBody);
+        const Label end_label = new_label(LabelStem::kWhileEnd);
+        emit_label(cond_label, s.loc);
         lower_expr(*node.cond);
-        emit(Opcode::kCondBr, 1, body_label + "," + end_label, s.loc);
-        emit(Opcode::kLabel, 1, body_label, s.loc);
+        emit_cond_br(body_label, end_label, s.loc);
+        emit_label(body_label, s.loc);
         loop_stack_.push_back({cond_label, end_label});
         lower_stmt(*node.body);
         loop_stack_.pop_back();
-        emit(Opcode::kBr, 1, cond_label, s.loc);
-        emit(Opcode::kLabel, 1, end_label, s.loc);
+        emit_br(cond_label, s.loc);
+        emit_label(end_label, s.loc);
         break;
       }
       case StmtKind::kDoWhile: {
         const auto& node = s.as<DoWhileStmt>();
-        const std::string body_label = new_label("do_body");
-        const std::string cond_label = new_label("do_cond");
-        const std::string end_label = new_label("do_end");
-        emit(Opcode::kLabel, 1, body_label, s.loc);
+        const Label body_label = new_label(LabelStem::kDoBody);
+        const Label cond_label = new_label(LabelStem::kDoCond);
+        const Label end_label = new_label(LabelStem::kDoEnd);
+        emit_label(body_label, s.loc);
         loop_stack_.push_back({cond_label, end_label});
         lower_stmt(*node.body);
         loop_stack_.pop_back();
-        emit(Opcode::kLabel, 1, cond_label, s.loc);
+        emit_label(cond_label, s.loc);
         lower_expr(*node.cond);
-        emit(Opcode::kCondBr, 1, body_label + "," + end_label, s.loc);
-        emit(Opcode::kLabel, 1, end_label, s.loc);
+        emit_cond_br(body_label, end_label, s.loc);
+        emit_label(end_label, s.loc);
         break;
       }
       case StmtKind::kReturn:
@@ -568,64 +593,67 @@ class Lowerer {
         break;
       case StmtKind::kBreak:
         if (loop_stack_.empty()) fail(s.loc, "break outside loop");
-        emit(Opcode::kBr, 1, loop_stack_.back().break_label, s.loc);
+        emit_br(loop_stack_.back().break_label, s.loc);
         break;
       case StmtKind::kContinue:
         if (loop_stack_.empty()) fail(s.loc, "continue outside loop");
-        emit(Opcode::kBr, 1, loop_stack_.back().continue_label, s.loc);
+        emit_br(loop_stack_.back().continue_label, s.loc);
         break;
     }
   }
 
   struct LoopLabels {
-    std::string continue_label;
-    std::string break_label;
+    Label continue_label;
+    Label break_label;
   };
 
-  const std::map<std::string, FunctionSignature>& signatures_;
+  common::Arena signature_names_;  // the keys of signatures_
+  NameMap<FunctionSignature> signatures_;
   IrFunction current_;
-  std::vector<std::map<std::string, Type>> scopes_;
+  NameMap<Binding> bindings_;
+  std::vector<Shadowed> shadowed_;
+  std::vector<std::size_t> scope_starts_;  // shadowed_ size at each open scope
   std::vector<LoopLabels> loop_stack_;
-  int label_counter_ = 0;
+  std::uint32_t label_counter_ = 0;
 };
-
-}  // namespace
 
 common::Result<IrModule> lower_to_ir(const TranslationUnit& unit) {
   // Declare every function first (forward references lower fine), then
   // lower in declaration order — the exact sequence the streaming path
-  // reproduces incrementally through LowerSession.
-  std::map<std::string, FunctionSignature> signatures;
+  // reproduces incrementally.
+  LowerSession session;
+  for (const auto& fn : unit.functions) session.declare(fn);
+  IrModule module;
+  module.names = unit.arena;
+  module.functions.reserve(unit.functions.size());
   for (const auto& fn : unit.functions) {
-    signatures.emplace(fn.name, FunctionSignature{fn.return_type, fn.params.size()});
-  }
-  try {
-    Lowerer lowerer(signatures);
-    IrModule module;
-    for (const auto& fn : unit.functions) {
-      module.functions.push_back(lowerer.lower_function(fn));
+    auto ir = session.lower(fn);
+    if (!ir.ok()) {
+      // The kNotFound unknown-callee sentinel is LowerSession-internal (it
+      // drives the streaming featurizer's deferral); at this public
+      // boundary an unknown callee is invalid source, i.e. a parse error —
+      // as it always has been.
+      common::Error error = ir.error();
+      if (error.code == common::ErrorCode::kNotFound) {
+        error.code = common::ErrorCode::kParseError;
+      }
+      return error;
     }
-    return module;
-  } catch (LowerError& e) {
-    // The kNotFound unknown-callee sentinel is LowerSession-internal (it
-    // drives the streaming featurizer's deferral); at this public boundary
-    // an unknown callee is invalid source, i.e. a parse error — as it
-    // always has been.
-    if (e.error.code == common::ErrorCode::kNotFound) {
-      e.error.code = common::ErrorCode::kParseError;
-    }
-    return std::move(e.error);
+    module.functions.push_back(*ir.value());
   }
+  return module;
 }
 
-void LowerSession::declare(const FunctionDecl& fn) {
-  signatures_.emplace(fn.name, FunctionSignature{fn.return_type, fn.params.size()});
-}
+LowerSession::LowerSession() : lowerer_(std::make_unique<Lowerer>()) {}
+LowerSession::~LowerSession() = default;
+LowerSession::LowerSession(LowerSession&&) noexcept = default;
+LowerSession& LowerSession::operator=(LowerSession&&) noexcept = default;
 
-common::Result<IrFunction> LowerSession::lower(const FunctionDecl& fn) const {
+void LowerSession::declare(const FunctionDecl& fn) { lowerer_->declare_function(fn); }
+
+common::Result<const IrFunction*> LowerSession::lower(const FunctionDecl& fn) {
   try {
-    Lowerer lowerer(signatures_);
-    return lowerer.lower_function(fn);
+    return &lowerer_->lower_function(fn);
   } catch (LowerError& e) {
     return std::move(e.error);
   }

@@ -7,8 +7,7 @@
 // feature vector. Loop bodies are emitted once — the counts are static.
 #pragma once
 
-#include <map>
-#include <string>
+#include <memory>
 
 #include "clfront/ast.hpp"
 #include "clfront/ir.hpp"
@@ -17,7 +16,8 @@
 namespace repro::clfront {
 
 /// Lower a parsed translation unit to IR. Produces one IrFunction per
-/// function declaration. Fails on undeclared identifiers, calls to unknown
+/// function declaration, whose names view the unit's arena (the module
+/// shares it). Fails on undeclared identifiers, calls to unknown
 /// functions, or unsupported constructs.
 [[nodiscard]] common::Result<IrModule> lower_to_ir(const TranslationUnit& unit);
 
@@ -28,25 +28,39 @@ struct FunctionSignature {
   std::size_t num_params = 0;
 };
 
+class Lowerer;  // lower.cpp
+
 /// Incremental lowering for the streaming featurizer (clfront/stream.hpp):
 /// signatures accumulate as function definitions arrive, and each function
 /// lowers independently against everything declared so far. lower_to_ir is
 /// the one-shot equivalent — it declares every function of the unit first,
-/// then lowers them in order, so the two paths emit identical IR.
+/// then lowers them in order through a session, so the two paths emit
+/// identical IR.
+///
+/// A session keeps its buffers (the scope table, the instruction buffer)
+/// from one lower() to the next, so a warmed-up session lowers a function
+/// without allocating.
 class LowerSession {
  public:
+  LowerSession();
+  ~LowerSession();
+  LowerSession(LowerSession&&) noexcept;
+  LowerSession& operator=(LowerSession&&) noexcept;
+
   /// Register `fn` as a call target for subsequently lowered bodies. A
-  /// redefinition keeps the first signature, mirroring IrModule::find.
+  /// redefinition keeps the first signature, mirroring IrModule::find. The
+  /// name is copied: `fn` need not outlive the call.
   void declare(const FunctionDecl& fn);
 
   /// Lower one function against the signatures declared so far. A call to a
   /// user function with no declared signature fails with kNotFound — the
   /// streaming featurizer defers those functions and retries once the whole
-  /// stream (hence every signature) has been seen.
-  [[nodiscard]] common::Result<IrFunction> lower(const FunctionDecl& fn) const;
+  /// stream (hence every signature) has been seen. The IR lives in the
+  /// session's buffer until the next lower(), and views `fn`'s names.
+  [[nodiscard]] common::Result<const IrFunction*> lower(const FunctionDecl& fn);
 
  private:
-  std::map<std::string, FunctionSignature> signatures_;
+  std::unique_ptr<Lowerer> lowerer_;  // the signatures and every buffer
 };
 
 }  // namespace repro::clfront

@@ -1,11 +1,54 @@
 #include "clfront/parser.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 namespace repro::clfront {
 
 namespace {
+
+/// Collects a list of unknown length for an arena node: the first kInline
+/// elements on the stack, then arena storage that doubles (the outgrown
+/// copies are dead arena bytes until the reset). finish() returns the list
+/// as a span of arena memory.
+template <typename T, std::size_t kInline = 8>
+class ListBuilder {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);
+
+ public:
+  explicit ListBuilder(common::Arena& arena) : arena_(arena) {}
+  ListBuilder(const ListBuilder&) = delete;
+  ListBuilder& operator=(const ListBuilder&) = delete;
+
+  void push_back(const T& value) {
+    if (size_ == capacity_) move_to(2 * capacity_);
+    data_[size_++] = value;
+  }
+
+  [[nodiscard]] std::span<const T> finish() {
+    if (size_ == 0) return {};
+    if (data_ == inline_.data()) move_to(size_);
+    return {data_, size_};
+  }
+
+ private:
+  void move_to(std::size_t capacity) {
+    T* grown = static_cast<T*>(arena_.allocate(capacity * sizeof(T), alignof(T)));
+    std::memcpy(static_cast<void*>(grown), data_, size_ * sizeof(T));
+    data_ = grown;
+    capacity_ = capacity;
+  }
+
+  common::Arena& arena_;
+  std::array<T, kInline> inline_{};
+  T* data_ = inline_.data();
+  std::size_t size_ = 0;
+  std::size_t capacity_ = kInline;
+};
 
 /// Binary operator precedence for the climbing parser (higher binds tighter).
 struct OpInfo {
@@ -71,6 +114,18 @@ bool is_qualifier_kw(Keyword kw) {
 }
 
 }  // namespace
+
+template <typename T, typename... Args>
+T* Parser::make(Args&&... args) {
+  static_assert(std::is_trivially_destructible_v<T>);
+  return new (arena_.allocate(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
+}
+
+std::string_view Parser::copy_name(const std::string& text) {
+  char* bytes = static_cast<char*>(arena_.allocate(text.size(), 1));
+  std::memcpy(bytes, text.data(), text.size());
+  return {bytes, text.size()};
+}
 
 const Token& Parser::peek(std::size_t ahead) const noexcept {
   const std::size_t idx = pos_ + ahead;
@@ -169,13 +224,11 @@ Type Parser::parse_type() {
   return type;
 }
 
-common::Result<TranslationUnit> Parser::parse_translation_unit() {
+common::Result<std::span<const FunctionDecl>> Parser::parse_functions() {
   try {
-    TranslationUnit unit;
-    while (!check(TokenKind::kEof)) {
-      unit.functions.push_back(parse_function());
-    }
-    return unit;
+    ListBuilder<FunctionDecl, 2> functions(arena_);
+    while (!check(TokenKind::kEof)) functions.push_back(parse_function());
+    return functions.finish();
   } catch (ParseError& e) {
     return std::move(e.error);
   }
@@ -189,30 +242,32 @@ FunctionDecl Parser::parse_function() {
     advance();
   }
   fn.return_type = parse_type();
-  fn.name = expect(TokenKind::kIdentifier, "function name").text;
+  fn.name = copy_name(expect(TokenKind::kIdentifier, "function name").text);
   expect(TokenKind::kLParen, "parameter list");
+  ListBuilder<ParamDecl> params(arena_);
   if (!check(TokenKind::kRParen)) {
     do {
       ParamDecl param;
       param.type = parse_type();
-      param.name = expect(TokenKind::kIdentifier, "parameter name").text;
-      fn.params.push_back(std::move(param));
+      param.name = copy_name(expect(TokenKind::kIdentifier, "parameter name").text);
+      params.push_back(param);
     } while (match(TokenKind::kComma));
   }
   expect(TokenKind::kRParen, "end of parameter list");
+  fn.params = params.finish();
   fn.body = parse_compound();
   return fn;
 }
 
-std::unique_ptr<CompoundStmt> Parser::parse_compound() {
+const CompoundStmt* Parser::parse_compound() {
   const SourceLoc loc = peek().loc;
   expect(TokenKind::kLBrace, "block");
-  auto block = std::make_unique<CompoundStmt>(loc);
+  ListBuilder<StmtPtr> body(arena_);
   while (!check(TokenKind::kRBrace) && !check(TokenKind::kEof)) {
-    block->body.push_back(parse_statement());
+    body.push_back(parse_statement());
   }
   expect(TokenKind::kRBrace, "end of block");
-  return block;
+  return make<CompoundStmt>(body.finish(), loc);
 }
 
 StmtPtr Parser::parse_statement() {
@@ -224,38 +279,37 @@ StmtPtr Parser::parse_statement() {
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of if condition");
     auto then_s = parse_statement();
-    StmtPtr else_s;
+    StmtPtr else_s = nullptr;
     if (match_keyword(Keyword::kElse)) else_s = parse_statement();
-    return std::make_unique<IfStmt>(std::move(cond), std::move(then_s), std::move(else_s),
-                                    loc);
+    return make<IfStmt>(cond, then_s, else_s, loc);
   }
   if (match_keyword(Keyword::kFor)) {
-    auto node = std::make_unique<ForStmt>(loc);
     expect(TokenKind::kLParen, "for header");
+    StmtPtr init = nullptr;
     if (!check(TokenKind::kSemicolon)) {
       if (looks_like_type_start()) {
-        node->init = parse_declaration();  // consumes ';'
+        init = parse_declaration();  // consumes ';'
       } else {
-        auto e = parse_expression();
-        node->init = std::make_unique<ExprStmt>(std::move(e), loc);
+        init = make<ExprStmt>(parse_expression(), loc);
         expect(TokenKind::kSemicolon, "after for-init");
       }
     } else {
       advance();
     }
-    if (!check(TokenKind::kSemicolon)) node->cond = parse_expression();
+    ExprPtr cond = nullptr;
+    if (!check(TokenKind::kSemicolon)) cond = parse_expression();
     expect(TokenKind::kSemicolon, "after for-condition");
-    if (!check(TokenKind::kRParen)) node->step = parse_expression();
+    ExprPtr step = nullptr;
+    if (!check(TokenKind::kRParen)) step = parse_expression();
     expect(TokenKind::kRParen, "end of for header");
-    node->body = parse_statement();
-    return node;
+    return make<ForStmt>(init, cond, step, parse_statement(), loc);
   }
   if (match_keyword(Keyword::kWhile)) {
     expect(TokenKind::kLParen, "while condition");
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of while condition");
     auto body = parse_statement();
-    return std::make_unique<WhileStmt>(std::move(cond), std::move(body), loc);
+    return make<WhileStmt>(cond, body, loc);
   }
   if (match_keyword(Keyword::kDo)) {
     auto body = parse_statement();
@@ -264,48 +318,48 @@ StmtPtr Parser::parse_statement() {
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of do-while condition");
     expect(TokenKind::kSemicolon, "after do-while");
-    return std::make_unique<DoWhileStmt>(std::move(body), std::move(cond), loc);
+    return make<DoWhileStmt>(body, cond, loc);
   }
   if (match_keyword(Keyword::kReturn)) {
-    ExprPtr value;
+    ExprPtr value = nullptr;
     if (!check(TokenKind::kSemicolon)) value = parse_expression();
     expect(TokenKind::kSemicolon, "after return");
-    return std::make_unique<ReturnStmt>(std::move(value), loc);
+    return make<ReturnStmt>(value, loc);
   }
   if (match_keyword(Keyword::kBreak)) {
     expect(TokenKind::kSemicolon, "after break");
-    return std::make_unique<BreakStmt>(loc);
+    return make<BreakStmt>(loc);
   }
   if (match_keyword(Keyword::kContinue)) {
     expect(TokenKind::kSemicolon, "after continue");
-    return std::make_unique<ContinueStmt>(loc);
+    return make<ContinueStmt>(loc);
   }
   if (looks_like_type_start()) return parse_declaration();
 
   auto expr = parse_expression();
   expect(TokenKind::kSemicolon, "after expression statement");
-  return std::make_unique<ExprStmt>(std::move(expr), loc);
+  return make<ExprStmt>(expr, loc);
 }
 
 StmtPtr Parser::parse_declaration() {
   const SourceLoc loc = peek().loc;
-  auto stmt = std::make_unique<DeclStmt>(loc);
+  ListBuilder<VarDecl, 4> decls(arena_);
   const Type base = parse_type();
   do {
     VarDecl decl;
     decl.type = base;
     if (match(TokenKind::kStar)) decl.type = base.as_pointer(base.addr_space);
-    decl.name = expect(TokenKind::kIdentifier, "variable name").text;
+    decl.name = copy_name(expect(TokenKind::kIdentifier, "variable name").text);
     if (match(TokenKind::kLBracket)) {
       const Token& size = expect(TokenKind::kIntLiteral, "array size");
       decl.array_size = size.int_value;
       expect(TokenKind::kRBracket, "end of array size");
     }
     if (match(TokenKind::kAssign)) decl.init = parse_assignment();
-    stmt->decls.push_back(std::move(decl));
+    decls.push_back(decl);
   } while (match(TokenKind::kComma));
   expect(TokenKind::kSemicolon, "after declaration");
-  return stmt;
+  return make<DeclStmt>(decls.finish(), loc);
 }
 
 ExprPtr Parser::parse_expression() { return parse_assignment(); }
@@ -315,12 +369,12 @@ ExprPtr Parser::parse_assignment() {
   auto lhs = parse_conditional();
   if (match(TokenKind::kAssign)) {
     auto rhs = parse_assignment();
-    return std::make_unique<AssignExpr>(std::move(lhs), std::move(rhs), std::nullopt, loc);
+    return make<AssignExpr>(lhs, rhs, std::nullopt, loc);
   }
   if (auto op = compound_assign_op(peek().kind)) {
     advance();
     auto rhs = parse_assignment();
-    return std::make_unique<AssignExpr>(std::move(lhs), std::move(rhs), op, loc);
+    return make<AssignExpr>(lhs, rhs, op, loc);
   }
   return lhs;
 }
@@ -332,8 +386,7 @@ ExprPtr Parser::parse_conditional() {
     auto then_e = parse_assignment();
     expect(TokenKind::kColon, "conditional expression");
     auto else_e = parse_assignment();
-    return std::make_unique<ConditionalExpr>(std::move(cond), std::move(then_e),
-                                             std::move(else_e), loc);
+    return make<ConditionalExpr>(cond, then_e, else_e, loc);
   }
   return cond;
 }
@@ -346,7 +399,7 @@ ExprPtr Parser::parse_binary(int min_prec) {
     const SourceLoc loc = peek().loc;
     advance();
     auto rhs = parse_binary(info->prec + 1);
-    lhs = std::make_unique<BinaryExpr>(info->op, std::move(lhs), std::move(rhs), loc);
+    lhs = make<BinaryExpr>(info->op, lhs, rhs, loc);
   }
 }
 
@@ -357,20 +410,20 @@ ExprPtr Parser::parse_unary() {
   const DepthGuard depth(*this);
   const SourceLoc loc = peek().loc;
   if (match(TokenKind::kMinus)) {
-    return std::make_unique<UnaryExpr>(UnaryOp::kNegate, parse_unary(), loc);
+    return make<UnaryExpr>(UnaryOp::kNegate, parse_unary(), loc);
   }
   if (match(TokenKind::kPlus)) return parse_unary();
   if (match(TokenKind::kBang)) {
-    return std::make_unique<UnaryExpr>(UnaryOp::kNot, parse_unary(), loc);
+    return make<UnaryExpr>(UnaryOp::kNot, parse_unary(), loc);
   }
   if (match(TokenKind::kTilde)) {
-    return std::make_unique<UnaryExpr>(UnaryOp::kBitNot, parse_unary(), loc);
+    return make<UnaryExpr>(UnaryOp::kBitNot, parse_unary(), loc);
   }
   if (match(TokenKind::kPlusPlus)) {
-    return std::make_unique<UnaryExpr>(UnaryOp::kPreInc, parse_unary(), loc);
+    return make<UnaryExpr>(UnaryOp::kPreInc, parse_unary(), loc);
   }
   if (match(TokenKind::kMinusMinus)) {
-    return std::make_unique<UnaryExpr>(UnaryOp::kPreDec, parse_unary(), loc);
+    return make<UnaryExpr>(UnaryOp::kPreDec, parse_unary(), loc);
   }
   // Cast or vector literal: '(' type ')' expr | '(' typeN ')' '(' args ')'.
   if (check(TokenKind::kLParen) && looks_like_type_start(1)) {
@@ -380,16 +433,9 @@ ExprPtr Parser::parse_unary() {
     if (target.is_vector() && check(TokenKind::kLParen)) {
       // OpenCL vector literal (float4)(a, b, c, d).
       advance();
-      std::vector<ExprPtr> args;
-      if (!check(TokenKind::kRParen)) {
-        do {
-          args.push_back(parse_assignment());
-        } while (match(TokenKind::kComma));
-      }
-      expect(TokenKind::kRParen, "end of vector literal");
-      return std::make_unique<VectorCtorExpr>(target, std::move(args), loc);
+      return make<VectorCtorExpr>(target, parse_arguments("end of vector literal"), loc);
     }
-    return std::make_unique<CastExpr>(target, parse_unary(), loc);
+    return make<CastExpr>(target, parse_unary(), loc);
   }
   return parse_postfix();
 }
@@ -401,14 +447,14 @@ ExprPtr Parser::parse_postfix() {
     if (match(TokenKind::kLBracket)) {
       auto index = parse_expression();
       expect(TokenKind::kRBracket, "array subscript");
-      expr = std::make_unique<IndexExpr>(std::move(expr), std::move(index), loc);
+      expr = make<IndexExpr>(expr, index, loc);
     } else if (match(TokenKind::kDot)) {
       const Token& member = expect(TokenKind::kIdentifier, "member name");
-      expr = std::make_unique<MemberExpr>(std::move(expr), member.text, loc);
+      expr = make<MemberExpr>(expr, copy_name(member.text), loc);
     } else if (match(TokenKind::kPlusPlus)) {
-      expr = std::make_unique<UnaryExpr>(UnaryOp::kPostInc, std::move(expr), loc);
+      expr = make<UnaryExpr>(UnaryOp::kPostInc, expr, loc);
     } else if (match(TokenKind::kMinusMinus)) {
-      expr = std::make_unique<UnaryExpr>(UnaryOp::kPostDec, std::move(expr), loc);
+      expr = make<UnaryExpr>(UnaryOp::kPostDec, expr, loc);
     } else {
       return expr;
     }
@@ -419,11 +465,11 @@ ExprPtr Parser::parse_primary() {
   const SourceLoc loc = peek().loc;
   if (check(TokenKind::kIntLiteral)) {
     const Token& t = advance();
-    return std::make_unique<IntLiteralExpr>(t.int_value, t.is_unsigned, loc);
+    return make<IntLiteralExpr>(t.int_value, t.is_unsigned, loc);
   }
   if (check(TokenKind::kFloatLiteral)) {
     const Token& t = advance();
-    return std::make_unique<FloatLiteralExpr>(t.float_value, t.is_float32, loc);
+    return make<FloatLiteralExpr>(t.float_value, t.is_float32, loc);
   }
   if (match(TokenKind::kLParen)) {
     auto inner = parse_expression();
@@ -434,34 +480,32 @@ ExprPtr Parser::parse_primary() {
     // Function-style vector constructor: float4(a, b, c, d).
     if (const auto& type = peek().type;
         type && type->is_vector() && peek(1).kind == TokenKind::kLParen) {
+      const Type ctor_type = *type;
       advance();
       advance();
-      std::vector<ExprPtr> args;
-      if (!check(TokenKind::kRParen)) {
-        do {
-          args.push_back(parse_assignment());
-        } while (match(TokenKind::kComma));
-      }
-      expect(TokenKind::kRParen, "end of constructor");
-      return std::make_unique<VectorCtorExpr>(*type, std::move(args), loc);
+      return make<VectorCtorExpr>(ctor_type, parse_arguments("end of constructor"), loc);
     }
     if (check(TokenKind::kIdentifier)) {
-      const Token& name = advance();
+      const std::string_view name = copy_name(advance().text);
       if (match(TokenKind::kLParen)) {
-        std::vector<ExprPtr> args;
-        if (!check(TokenKind::kRParen)) {
-          do {
-            args.push_back(parse_assignment());
-          } while (match(TokenKind::kComma));
-        }
-        expect(TokenKind::kRParen, "end of call");
-        return std::make_unique<CallExpr>(name.text, std::move(args), loc);
+        return make<CallExpr>(name, parse_arguments("end of call"), loc);
       }
-      return std::make_unique<VarRefExpr>(name.text, loc);
+      return make<VarRefExpr>(name, loc);
     }
   }
   fail("expected expression, got '" +
        (peek().text.empty() ? token_kind_name(peek().kind) : peek().text) + "'");
+}
+
+std::span<const ExprPtr> Parser::parse_arguments(const char* what) {
+  ListBuilder<ExprPtr> args(arena_);
+  if (!check(TokenKind::kRParen)) {
+    do {
+      args.push_back(parse_assignment());
+    } while (match(TokenKind::kComma));
+  }
+  expect(TokenKind::kRParen, what);
+  return args.finish();
 }
 
 common::Result<TranslationUnit> parse_opencl(const std::string& source) {
@@ -469,8 +513,13 @@ common::Result<TranslationUnit> parse_opencl(const std::string& source) {
   auto tokens = lexer.tokenize();
   if (!tokens.ok()) return tokens.error();
   const std::span<const Token> all(tokens.value());
-  Parser parser(all.first(all.size() - 1), all.back().loc);  // kEof ends it
-  return parser.parse_translation_unit();
+  TranslationUnit unit;
+  unit.arena = std::make_shared<common::Arena>();
+  Parser parser(all.first(all.size() - 1), all.back().loc, *unit.arena);  // kEof ends it
+  auto functions = parser.parse_functions();
+  if (!functions.ok()) return functions.error();
+  unit.functions = functions.value();
+  return unit;
 }
 
 }  // namespace repro::clfront

@@ -10,7 +10,7 @@
 
 #include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "clfront/ast.hpp"
 #include "clfront/lexer.hpp"
@@ -27,14 +27,17 @@ inline constexpr int kMaxNestingDepth = 256;
 class Parser {
  public:
   /// Parse `tokens` in place (no kEof among them; reading past the last one
-  /// yields a kEof token at `end`). The tokens must outlive the parser.
-  Parser(std::span<const Token> tokens, SourceLoc end) : tokens_(tokens) {
+  /// yields a kEof token at `end`). The tokens must outlive the parser; the
+  /// tree does not view them — every node, list and name of it is
+  /// allocated from `arena` and lives until the arena is reset.
+  Parser(std::span<const Token> tokens, SourceLoc end, common::Arena& arena)
+      : tokens_(tokens), arena_(arena) {
     eof_.loc = end;
   }
 
-  /// Parse a translation unit; returns a parse error with location info on
-  /// the first syntax problem.
-  [[nodiscard]] common::Result<TranslationUnit> parse_translation_unit();
+  /// Parse every function of the token range; returns a parse error with
+  /// location info on the first syntax problem.
+  [[nodiscard]] common::Result<std::span<const FunctionDecl>> parse_functions();
 
  private:
   struct ParseError {
@@ -65,9 +68,14 @@ class Parser {
   [[nodiscard]] bool looks_like_type_start(std::size_t ahead = 0) const noexcept;
   Type parse_type();  // qualifiers + scalar/vector + optional '*'
 
+  // Arena storage.
+  template <typename T, typename... Args>
+  T* make(Args&&... args);
+  std::string_view copy_name(const std::string& text);
+
   // Declarations.
   FunctionDecl parse_function();
-  std::unique_ptr<CompoundStmt> parse_compound();
+  const CompoundStmt* parse_compound();
   StmtPtr parse_statement();
   StmtPtr parse_declaration();  // after lookahead confirmed a type
 
@@ -79,14 +87,16 @@ class Parser {
   ExprPtr parse_unary();
   ExprPtr parse_postfix();
   ExprPtr parse_primary();
+  std::span<const ExprPtr> parse_arguments(const char* what);  // after '('
 
   std::span<const Token> tokens_;
+  common::Arena& arena_;
   Token eof_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
 
-/// Convenience: lex + parse a source string.
+/// Convenience: lex + parse a source string into a unit owning its arena.
 [[nodiscard]] common::Result<TranslationUnit> parse_opencl(const std::string& source);
 
 }  // namespace repro::clfront

@@ -7,7 +7,16 @@
 
 namespace repro::clfront {
 
-SourceFeeder::SourceFeeder(StreamOptions options) : options_(options) {}
+namespace {
+
+/// First slab of a feeder's function arena: room for the AST of a typical
+/// function, so most streams never grow it.
+constexpr std::size_t kFunctionArenaBytes = 16 * 1024;
+
+}  // namespace
+
+SourceFeeder::SourceFeeder(StreamOptions options)
+    : options_(options), arena_(std::make_unique<common::Arena>(kFunctionArenaBytes)) {}
 
 common::Status SourceFeeder::feed(std::string_view chunk) {
   if (finished_) {
@@ -93,7 +102,7 @@ common::Status SourceFeeder::finish() {
           final_error_ = std::move(error);
           break;
         }
-        resolved_.push_back(summarize(ir.value()));
+        resolved_.push_back(summarize(*ir.value()));
         continue;
       }
       if (outcome.error.has_value()) {
@@ -105,6 +114,7 @@ common::Status SourceFeeder::finish() {
     }
   }
   outcomes_.clear();
+  deferred_arenas_.clear();
   return final_error_.has_value() ? common::Status(*final_error_)
                                   : common::Status::Ok();
 }
@@ -141,32 +151,41 @@ void SourceFeeder::ingest(std::size_t first_new) {
 }
 
 void SourceFeeder::complete_function(std::span<const Token> tokens) {
-  Parser parser(tokens, lex_state_.loc);
-  auto unit = parser.parse_translation_unit();
-  if (!unit.ok()) {
-    parse_error_ = unit.error();
-    return;
+  Parser parser(tokens, lex_state_.loc, *arena_);
+  auto functions = parser.parse_functions();
+  bool deferred = false;
+  if (functions.ok()) {
+    for (const FunctionDecl& fn : functions.value()) deferred |= absorb_function(fn);
+  } else {
+    parse_error_ = functions.error();
   }
-  for (auto& fn : unit.value().functions) absorb_function(std::move(fn));
+  if (deferred) {
+    deferred_arenas_.push_back(
+        std::exchange(arena_, std::make_unique<common::Arena>(kFunctionArenaBytes)));
+  } else {
+    arena_->reset();
+  }
 }
 
-void SourceFeeder::absorb_function(FunctionDecl fn) {
+bool SourceFeeder::absorb_function(const FunctionDecl& fn) {
   session_.declare(fn);
   Outcome outcome;
   if (!lower_error_seen_) {
     auto ir = session_.lower(fn);
     if (ir.ok()) {
-      outcome.summary = summarize(ir.value());
+      outcome.summary = summarize(*ir.value());
     } else if (ir.error().code == common::ErrorCode::kNotFound) {
       // A callee not declared yet — maybe a forward reference. Keep the AST
       // and retry at finish(), when the whole stream has been declared.
-      outcome.deferred = std::move(fn);
+      outcome.deferred = fn;
     } else {
       outcome.error = ir.error();
       lower_error_seen_ = true;  // later lowering cannot outrank this error
     }
   }
+  const bool deferred = outcome.deferred.has_value();
   outcomes_.push_back(std::move(outcome));
+  return deferred;
 }
 
 common::Result<StaticFeatures> SourceFeeder::features(const std::string& kernel) const {

@@ -15,12 +15,16 @@
 //  * tokens are grouped into top-level functions by brace depth, and each
 //    function is parsed, lowered, and collapsed into a FunctionSummary (10
 //    local feature counts + the ordered callee list) the moment its closing
-//    brace arrives — tokens, AST, and IR never outlive the function;
+//    brace arrives — tokens, AST, and IR never outlive the function. The
+//    AST is parsed into one arena that is reset once the function is
+//    summarized, and the lowering reuses one instruction buffer, so a
+//    warmed-up feeder parses and lowers a function without allocating;
 //  * cross-function call resolution (CallResolver, shared with
 //    extract_features) runs over the summaries once features are asked
 //    for, after finish() has seen every signature. A function whose callee
-//    is not yet defined (a forward reference) keeps its AST until finish()
-//    — the only case that buffers more than one function.
+//    is not yet defined (a forward reference) keeps its AST, and the arena
+//    holding it, until finish() — the only case that buffers more than one
+//    function.
 //
 // Why the result is bit-identical: feature counts are sums of integer
 // instruction widths, exact in binary64 below 2^53 (CallResolver refuses
@@ -30,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,6 +45,7 @@
 #include "clfront/features.hpp"
 #include "clfront/lexer.hpp"
 #include "clfront/lower.hpp"
+#include "common/arena.hpp"
 #include "common/status.hpp"
 
 namespace repro::clfront {
@@ -94,7 +100,8 @@ class SourceFeeder {
 
   void ingest(std::size_t first_new);
   void complete_function(std::span<const Token> tokens);
-  void absorb_function(FunctionDecl fn);
+  /// Declare and lower `fn`; true when it is deferred to finish().
+  bool absorb_function(const FunctionDecl& fn);
 
   StreamOptions options_;
   std::string pending_;
@@ -103,6 +110,10 @@ class SourceFeeder {
   // pass's. Closed functions are parsed in place and erased after the pass.
   std::vector<Token> tokens_;
   int brace_depth_ = 0;
+  // The open function's AST; reset once it is summarized, or handed to
+  // deferred_arenas_ when a deferred AST lives in it.
+  std::unique_ptr<common::Arena> arena_;
+  std::vector<std::unique_ptr<common::Arena>> deferred_arenas_;
   LowerSession session_;
   std::vector<Outcome> outcomes_;
   std::optional<common::Error> lex_error_;    // outranks everything

@@ -149,7 +149,8 @@ struct PipelineOptions {
   std::chrono::milliseconds write_timeout{30000};
   /// The trace stage stamped as a reply is written.
   const char* reply_stage = "reply";
-  /// Backs the splitter's input buffer and the writer's reply buffer.
+  /// Backs the splitter's input buffer and the writer's reply buffer;
+  /// nullptr means common::BufferPool::global().
   common::BufferPool* pool = nullptr;
 };
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "clfront/features.hpp"
+#include "clfront/stream.hpp"
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "core/predictor.hpp"
@@ -252,5 +253,64 @@ INSTANTIATE_TEST_SUITE_P(BothFramings, AllocationRegressionTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "binary" : "json";
                          });
+
+// --- the frontend's allocation budget ----------------------------------------
+
+/// `n` helpers in the style of an offline translation unit — scalar math
+/// with a builtin, loops over locals, integer bit twiddling — helper i
+/// calling helper i/2, then a kernel calling every tenth helper.
+std::string many_function_source(int n) {
+  std::string source;
+  for (int i = 0; i < n; ++i) {
+    const std::string name = "h" + std::to_string(i);
+    const std::string prev = "h" + std::to_string(i / 2);
+    switch (i % 3) {
+      case 0:
+        source += "float " + name + "(float v) { /* helper */ float w = v * 1.5f + " +
+                  "native_sin(v); return " + (i == 0 ? "w" : prev + "(w)") + "; }\n";
+        break;
+      case 1:
+        source += "float " + name + "(float v) {\n  float acc = v;\n" +
+                  "  for (int k = 0; k < 8; k++) {\n    float t = acc * 0.5f;\n" +
+                  "    acc = t + sqrt(fabs(acc));\n  }\n  return " + prev + "(acc);\n}\n";
+        break;
+      default:
+        source += "float " + name + "(float v) { int x = (int)v; int y = (x ^ 5) + " +
+                  "(x << 2) - x / 3; return " + prev + "((float)y); }\n";
+        break;
+    }
+  }
+  source += "kernel void k(global float* x) {\n  float v = x[get_global_id(0)];\n";
+  for (int i = 0; i < n; i += 10) source += "  v = h" + std::to_string(i) + "(v);\n";
+  source += "  x[get_global_id(0)] = v;\n}\n";
+  return source;
+}
+
+TEST(FrontendAllocationBudget, StreamingFeaturizationAllocatesLittlePerFunction) {
+  constexpr int kFunctions = 400;
+  const std::string source = many_function_source(kFunctions);
+  const auto reference = rcl::extract_features_from_source(source);
+  ASSERT_TRUE(reference.ok()) << reference.error().message;
+
+  const std::uint64_t before = hook::allocations();
+  rc::Result<rcl::StaticFeatures> features = rc::invalid_argument("not run");
+  {
+    rcl::SourceFeeder feeder;
+    for (std::size_t offset = 0; offset < source.size(); offset += 4096) {
+      (void)feeder.feed(std::string_view(source).substr(offset, 4096));
+    }
+    (void)feeder.finish();
+    features = feeder.features();
+  }
+  const std::uint64_t allocs = hook::allocations() - before;
+
+  ASSERT_TRUE(features.ok()) << features.error().message;
+  EXPECT_EQ(std::memcmp(features.value().counts.data(), reference.value().counts.data(),
+                        sizeof(double) * rcl::kNumFeatures),
+            0);
+  const double per_function = static_cast<double>(allocs) / (kFunctions + 1);
+  EXPECT_LE(per_function, 2.0) << allocs << " heap allocations for " << kFunctions + 1
+                               << " functions";
+}
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include "ml/svr.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
+#include "serve/connection_host.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -1961,6 +1962,45 @@ std::string health_round_trip(int fd, bool& closed) {
 }
 
 }  // namespace
+
+/// Answers every request with a not_found error naming its id.
+class RefusingHandler final : public rs::ConnectionHandler {
+ public:
+  void on_request(rs::WireRequest request, rs::Framing framing,
+                  rs::ReplyQueue& replies) override {
+    rs::push_error(replies, request.id, framing,
+                   rc::not_found("no model for request " + std::to_string(request.id)));
+  }
+  bool on_source_begin(rs::binary::SourceBegin, rs::ReplyQueue&) override { return false; }
+  void on_source_chunk(const rs::binary::SourceChunk&) override {}
+  void on_source_end(std::uint64_t, rs::ReplyQueue&) override {}
+  void on_source_abort(std::uint64_t) override {}
+  void on_protocol_error() override {}
+  void on_close(const rs::ConnectionSummary&) override {}
+};
+
+TEST(ConnectionHostTest, PipelinedLoopServesWithDefaultOptions) {
+  // PipelineOptions{} leaves the buffer pool unset; the loop must fall back
+  // to the global pool rather than dereference it.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  RefusingHandler handler;
+  std::thread server([&] {
+    rs::serve_pipelined(fds[0], rs::PipelineOptions{}, handler);
+    ::close(fds[0]);
+  });
+  const std::string request = "{\"id\":41,\"features\":[0,2,3,4,5,6,7,8,9,10]}\n";
+  ASSERT_EQ(::write(fds[1], request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::shutdown(fds[1], SHUT_WR);
+  std::string reply;
+  char buf[512];
+  for (ssize_t n; (n = ::read(fds[1], buf, sizeof buf)) > 0;) reply.append(buf, n);
+  server.join();
+  ::close(fds[1]);
+  EXPECT_NE(reply.find("no model for request 41"), std::string::npos) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+}
 
 TEST(ConnectionHostTest, RefusesConnectionsItCannotServeAndKeepsServing) {
   // Under an address-space cap every connection's thread pair eventually
