@@ -1,6 +1,6 @@
 #include "clfront/builtins.hpp"
 
-#include <utility>
+#include <initializer_list>
 
 #include "clfront/spelling_table.hpp"
 
@@ -20,102 +20,41 @@ struct BuiltinInfo {
 /// spelling is "CLK_GLOBAL_MEM_FENCE".
 constexpr auto kBuiltinTable = [] {
   SpellingTable<BuiltinInfo, 20, 256> table;
-  constexpr std::pair<std::string_view, BuiltinCategory> kCallees[] = {
-      {"get_global_id", BuiltinCategory::kRuntime},
-      {"get_local_id", BuiltinCategory::kRuntime},
-      {"get_group_id", BuiltinCategory::kRuntime},
-      {"get_num_groups", BuiltinCategory::kRuntime},
-      {"get_global_size", BuiltinCategory::kRuntime},
-      {"get_local_size", BuiltinCategory::kRuntime},
-      {"get_work_dim", BuiltinCategory::kRuntime},
-      {"get_global_offset", BuiltinCategory::kRuntime},
-      {"barrier", BuiltinCategory::kBarrier},
-      {"mem_fence", BuiltinCategory::kBarrier},
-      {"read_mem_fence", BuiltinCategory::kBarrier},
-      {"write_mem_fence", BuiltinCategory::kBarrier},
-      {"sin", BuiltinCategory::kSpecial},
-      {"cos", BuiltinCategory::kSpecial},
-      {"tan", BuiltinCategory::kSpecial},
-      {"asin", BuiltinCategory::kSpecial},
-      {"acos", BuiltinCategory::kSpecial},
-      {"atan", BuiltinCategory::kSpecial},
-      {"atan2", BuiltinCategory::kSpecial},
-      {"sinh", BuiltinCategory::kSpecial},
-      {"cosh", BuiltinCategory::kSpecial},
-      {"tanh", BuiltinCategory::kSpecial},
-      {"exp", BuiltinCategory::kSpecial},
-      {"exp2", BuiltinCategory::kSpecial},
-      {"exp10", BuiltinCategory::kSpecial},
-      {"log", BuiltinCategory::kSpecial},
-      {"log2", BuiltinCategory::kSpecial},
-      {"log10", BuiltinCategory::kSpecial},
-      {"pow", BuiltinCategory::kSpecial},
-      {"powr", BuiltinCategory::kSpecial},
-      {"pown", BuiltinCategory::kSpecial},
-      {"sqrt", BuiltinCategory::kSpecial},
-      {"rsqrt", BuiltinCategory::kSpecial},
-      {"cbrt", BuiltinCategory::kSpecial},
-      {"hypot", BuiltinCategory::kSpecial},
-      {"erf", BuiltinCategory::kSpecial},
-      {"erfc", BuiltinCategory::kSpecial},
-      {"sincos", BuiltinCategory::kSpecial},
-      {"native_sin", BuiltinCategory::kSpecial},
-      {"native_cos", BuiltinCategory::kSpecial},
-      {"native_exp", BuiltinCategory::kSpecial},
-      {"native_log", BuiltinCategory::kSpecial},
-      {"native_sqrt", BuiltinCategory::kSpecial},
-      {"native_rsqrt", BuiltinCategory::kSpecial},
-      {"native_powr", BuiltinCategory::kSpecial},
-      {"half_sqrt", BuiltinCategory::kSpecial},
-      {"fabs", BuiltinCategory::kCheapMath},
-      {"fmin", BuiltinCategory::kCheapMath},
-      {"fmax", BuiltinCategory::kCheapMath},
-      {"floor", BuiltinCategory::kCheapMath},
-      {"ceil", BuiltinCategory::kCheapMath},
-      {"round", BuiltinCategory::kCheapMath},
-      {"trunc", BuiltinCategory::kCheapMath},
-      {"sign", BuiltinCategory::kCheapMath},
-      {"step", BuiltinCategory::kCheapMath},
-      {"min", BuiltinCategory::kCheapMath},
-      {"max", BuiltinCategory::kCheapMath},
-      {"abs", BuiltinCategory::kCheapMath},
-      {"clamp", BuiltinCategory::kCheapMath},
-      {"select", BuiltinCategory::kCheapMath},
-      {"smoothstep", BuiltinCategory::kCheapMath},
-      {"isnan", BuiltinCategory::kCheapMath},
-      {"isinf", BuiltinCategory::kCheapMath},
-      {"fract", BuiltinCategory::kCheapMath},
-      {"fma", BuiltinCategory::kMulAdd},
-      {"mad", BuiltinCategory::kMulAdd},
-      {"mix", BuiltinCategory::kMulAdd},
-      {"dot", BuiltinCategory::kDot},
-      {"length", BuiltinCategory::kDot},
-      {"distance", BuiltinCategory::kDot},
-      {"fast_length", BuiltinCategory::kDot},
-      {"atomic_add", BuiltinCategory::kAtomic},
-      {"atomic_sub", BuiltinCategory::kAtomic},
-      {"atomic_inc", BuiltinCategory::kAtomic},
-      {"atomic_dec", BuiltinCategory::kAtomic},
-      {"atomic_xchg", BuiltinCategory::kAtomic},
-      {"atomic_cmpxchg", BuiltinCategory::kAtomic},
+  const auto callees = [&table](BuiltinCategory category,
+                                std::initializer_list<std::string_view> names) {
+    for (const std::string_view name : names) table.insert(name).category = category;
   };
-  constexpr std::pair<std::string_view, ScalarKind> kConstants[] = {
-      {"M_PI", ScalarKind::kFloat},        {"M_PI_F", ScalarKind::kFloat},
-      {"M_E", ScalarKind::kFloat},         {"M_E_F", ScalarKind::kFloat},
-      {"M_SQRT2", ScalarKind::kFloat},     {"FLT_MAX", ScalarKind::kFloat},
-      {"FLT_MIN", ScalarKind::kFloat},     {"FLT_EPSILON", ScalarKind::kFloat},
-      {"INFINITY", ScalarKind::kFloat},    {"NAN", ScalarKind::kFloat},
-      {"CLK_LOCAL_MEM_FENCE", ScalarKind::kUInt},
-      {"CLK_GLOBAL_MEM_FENCE", ScalarKind::kUInt},
-      {"INT_MAX", ScalarKind::kInt},       {"INT_MIN", ScalarKind::kInt},
-      {"UINT_MAX", ScalarKind::kUInt},
+  const auto constants = [&table](ScalarKind scalar,
+                                  std::initializer_list<std::string_view> names) {
+    for (const std::string_view name : names) table.insert(name) = {{}, true, scalar};
   };
-  for (const auto& [name, category] : kCallees) table.insert(name).category = category;
-  for (const auto& [name, scalar] : kConstants) {
-    BuiltinInfo& info = table.insert(name);
-    info.constant = true;
-    info.scalar = scalar;
-  }
+  callees(BuiltinCategory::kRuntime,
+          {"get_global_id", "get_local_id", "get_group_id", "get_num_groups",
+           "get_global_size", "get_local_size", "get_work_dim", "get_global_offset"});
+  callees(BuiltinCategory::kBarrier,
+          {"barrier", "mem_fence", "read_mem_fence", "write_mem_fence"});
+  callees(BuiltinCategory::kSpecial,
+          {"sin",        "cos",        "tan",        "asin",        "acos",
+           "atan",       "atan2",      "sinh",       "cosh",        "tanh",
+           "exp",        "exp2",       "exp10",      "log",         "log2",
+           "log10",      "pow",        "powr",       "pown",        "sqrt",
+           "rsqrt",      "cbrt",       "hypot",      "erf",         "erfc",
+           "sincos",     "native_sin", "native_cos", "native_exp",  "native_log",
+           "native_sqrt", "native_rsqrt", "native_powr", "half_sqrt"});
+  callees(BuiltinCategory::kCheapMath,
+          {"fabs", "fmin",  "fmax",  "floor", "ceil",  "round", "trunc", "sign", "step",
+           "min",  "max",   "abs",   "clamp", "select", "smoothstep", "isnan", "isinf",
+           "fract"});
+  callees(BuiltinCategory::kMulAdd, {"fma", "mad", "mix"});
+  callees(BuiltinCategory::kDot, {"dot", "length", "distance", "fast_length"});
+  callees(BuiltinCategory::kAtomic,
+          {"atomic_add", "atomic_sub", "atomic_inc", "atomic_dec", "atomic_xchg",
+           "atomic_cmpxchg"});
+  constants(ScalarKind::kFloat,
+            {"M_PI", "M_PI_F", "M_E", "M_E_F", "M_SQRT2", "FLT_MAX", "FLT_MIN",
+             "FLT_EPSILON", "INFINITY", "NAN"});
+  constants(ScalarKind::kUInt, {"CLK_LOCAL_MEM_FENCE", "CLK_GLOBAL_MEM_FENCE", "UINT_MAX"});
+  constants(ScalarKind::kInt, {"INT_MAX", "INT_MIN"});
   return table;
 }();
 
