@@ -16,7 +16,9 @@ constexpr std::size_t kFunctionArenaBytes = 16 * 1024;
 }  // namespace
 
 SourceFeeder::SourceFeeder(StreamOptions options)
-    : options_(options), arena_(std::make_unique<common::Arena>(kFunctionArenaBytes)) {}
+    : options_(options),
+      arena_(std::make_unique<common::Arena>(kFunctionArenaBytes)),
+      deferred_arena_(std::make_unique<common::Arena>()) {}
 
 common::Status SourceFeeder::feed(std::string_view chunk) {
   if (finished_) {
@@ -114,7 +116,7 @@ common::Status SourceFeeder::finish() {
     }
   }
   outcomes_.clear();
-  deferred_arenas_.clear();
+  deferred_arena_.reset();
   return final_error_.has_value() ? common::Status(*final_error_)
                                   : common::Status::Ok();
 }
@@ -151,20 +153,27 @@ void SourceFeeder::ingest(std::size_t first_new) {
 }
 
 void SourceFeeder::complete_function(std::span<const Token> tokens) {
-  Parser parser(tokens, lex_state_.loc, *arena_);
-  auto functions = parser.parse_functions();
-  bool deferred = false;
-  if (functions.ok()) {
-    for (const FunctionDecl& fn : functions.value()) deferred |= absorb_function(fn);
-  } else {
+  auto functions = Parser(tokens, lex_state_.loc, *arena_).parse_functions();
+  if (!functions.ok()) {
     parse_error_ = functions.error();
-  }
-  if (deferred) {
-    deferred_arenas_.push_back(
-        std::exchange(arena_, std::make_unique<common::Arena>(kFunctionArenaBytes)));
-  } else {
     arena_->reset();
+    return;
   }
+  const std::size_t first = outcomes_.size();
+  bool deferred = false;
+  for (const FunctionDecl& fn : functions.value()) deferred |= absorb_function(fn);
+  if (deferred) {
+    // A deferred AST must outlive the reset below: parse the same tokens
+    // again into deferred_arena_, which so holds only the trees finish()
+    // retries, each at its own size. The parse is deterministic, so it
+    // yields the same functions in the same order.
+    auto kept = Parser(tokens, lex_state_.loc, *deferred_arena_).parse_functions();
+    for (std::size_t i = 0; i < kept.value().size(); ++i) {
+      Outcome& outcome = outcomes_[first + i];
+      if (outcome.deferred.has_value()) outcome.deferred = kept.value()[i];
+    }
+  }
+  arena_->reset();
 }
 
 bool SourceFeeder::absorb_function(const FunctionDecl& fn) {

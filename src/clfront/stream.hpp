@@ -22,9 +22,9 @@
 //  * cross-function call resolution (CallResolver, shared with
 //    extract_features) runs over the summaries once features are asked
 //    for, after finish() has seen every signature. A function whose callee
-//    is not yet defined (a forward reference) keeps its AST, and the arena
-//    holding it, until finish() — the only case that buffers more than one
-//    function.
+//    is not yet defined (a forward reference) is parsed once more into a
+//    second arena that keeps its AST, and only the ASTs of such functions,
+//    until finish() — the only case that buffers more than one function.
 //
 // Why the result is bit-identical: feature counts are sums of integer
 // instruction widths, exact in binary64 below 2^53 (CallResolver refuses
@@ -88,6 +88,12 @@ class SourceFeeder {
   [[nodiscard]] std::size_t peak_pending_bytes() const noexcept {
     return peak_pending_bytes_;
   }
+  /// Arena bytes reserved for the ASTs of functions deferred on a forward
+  /// reference, until finish() releases them: each deferred function adds
+  /// its own tree, not a whole arena slab.
+  [[nodiscard]] std::size_t deferred_ast_bytes() const noexcept {
+    return deferred_arena_ != nullptr ? deferred_arena_->reserved_bytes() : 0;
+  }
 
  private:
   struct Outcome {
@@ -110,10 +116,11 @@ class SourceFeeder {
   // pass's. Closed functions are parsed in place and erased after the pass.
   std::vector<Token> tokens_;
   int brace_depth_ = 0;
-  // The open function's AST; reset once it is summarized, or handed to
-  // deferred_arenas_ when a deferred AST lives in it.
+  // The open function's AST; reset once it is summarized.
   std::unique_ptr<common::Arena> arena_;
-  std::vector<std::unique_ptr<common::Arena>> deferred_arenas_;
+  // The ASTs of deferred functions, parsed a second time from their tokens
+  // so each costs only its own bytes; released by finish().
+  std::unique_ptr<common::Arena> deferred_arena_;
   LowerSession session_;
   std::vector<Outcome> outcomes_;
   std::optional<common::Error> lex_error_;    // outranks everything

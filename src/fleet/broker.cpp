@@ -89,7 +89,6 @@ common::Result<std::unique_ptr<Broker>> Broker::start(serve::ServiceConfig confi
   impl.pipeline.name = "Broker";
   impl.pipeline.max_message_bytes = 1 << 16;  // no broker request is this long
   impl.pipeline.accept_binary = false;
-  impl.pipeline.pool = &common::BufferPool::global();
   auto host = serve::ConnectionHost::start(impl.pipeline.name, options.unix_path, -1,
                                            [&impl](int fd) {
                                              Impl::Connection connection(impl);

@@ -265,14 +265,10 @@ void push_error(ReplyQueue& replies, std::uint64_t id, Framing framing,
 
 namespace {
 
-common::BufferPool& pool_of(const PipelineOptions& options) {
-  return options.pool != nullptr ? *options.pool : common::BufferPool::global();
-}
-
 /// The writer half: drains the in-order reply queue into one pooled reply
 /// buffer, so the steady state writes without touching the heap.
 void write_replies(int fd, const PipelineOptions& options, ReplyQueue& replies) {
-  auto reply_lease = pool_of(options).acquire();
+  auto reply_lease = options.resolved_pool().acquire();
   std::string& reply = *reply_lease;
   // A traced reply's last stage is its write; snapshot after the stamp so
   // the serialized table includes it. A forwarded reply first appends the
@@ -350,7 +346,7 @@ void serve_pipelined(int fd, const PipelineOptions& options, ConnectionHandler& 
   // Per-message framing detection; binary frames are refused outright when
   // they are not accepted (they parse as malformed JSON lines).
   MessageSplitter splitter(options.max_message_bytes, options.accept_binary,
-                           &pool_of(options));
+                           &options.resolved_pool());
   // Per-connection parse arena: each JSON request document is bump-
   // allocated here and dies at the reset() after its message is handled.
   // Once the arena has seen the connection's biggest request, the steady

@@ -152,6 +152,11 @@ struct PipelineOptions {
   /// Backs the splitter's input buffer and the writer's reply buffer;
   /// nullptr means common::BufferPool::global().
   common::BufferPool* pool = nullptr;
+
+  /// The pool in use: `pool`, or the process-global one when it is null.
+  [[nodiscard]] common::BufferPool& resolved_pool() const {
+    return pool != nullptr ? *pool : common::BufferPool::global();
+  }
 };
 
 /// Serve one connection until EOF, a read error, a framing fault or a

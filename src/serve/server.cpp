@@ -17,7 +17,7 @@ namespace repro::serve {
 struct SocketServer::Impl {
   Service* service = nullptr;
   ServerOptions options;
-  /// Resolved in start(); its pool backs splitter input and reply buffers.
+  /// Set in start(); its pool backs splitter input and reply buffers.
   PipelineOptions pipeline;
   std::unique_ptr<ConnectionHost> host;
   std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();
@@ -199,8 +199,7 @@ common::Result<std::unique_ptr<SocketServer>> SocketServer::start(
   impl.pipeline.accept_binary = options.enable_binary;
   impl.pipeline.max_inflight = options.max_inflight;
   impl.pipeline.write_timeout = options.write_timeout;
-  impl.pipeline.pool =
-      options.buffer_pool != nullptr ? options.buffer_pool : &common::BufferPool::global();
+  impl.pipeline.pool = options.buffer_pool;
 
   auto host = ConnectionHost::start(impl.pipeline.name, options.unix_path, options.tcp_port,
                                     [&impl](int fd) { impl.serve_connection(fd); });
@@ -268,7 +267,7 @@ WireMetrics SocketServer::Impl::wire_metrics() {
         ->set(static_cast<double>(peak_arena_bytes));
   }
   registry->gauge("repro_pool_reuse_total")
-      ->set(static_cast<double>(pipeline.pool->stats().reuses));
+      ->set(static_cast<double>(pipeline.resolved_pool().stats().reuses));
   WireMetrics metrics;
   metrics.values = registry->snapshot_values();
   metrics.text = registry->prometheus_text();

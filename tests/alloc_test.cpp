@@ -313,4 +313,38 @@ TEST(FrontendAllocationBudget, StreamingFeaturizationAllocatesLittlePerFunction)
                                << " functions";
 }
 
+// Every f<i> calls a g<i> defined only after all of them, so each f<i> is
+// deferred to finish() with its AST. What the feeder keeps for them must
+// grow with their own trees (one call statement each), not by an arena
+// slab apiece.
+TEST(FrontendAllocationBudget, ForwardReferencesKeepOnlyTheirOwnAst) {
+  constexpr int kFunctions = 2000;
+  std::string source = "kernel void k(global float* x) { x[0] = f0(x[0]); }\n";
+  for (int i = 0; i < kFunctions; ++i) {
+    const std::string n = std::to_string(i);
+    source += "float f" + n + "(float v) { return g" + n + "(v + 1.0f); }\n";
+  }
+  for (int i = 0; i < kFunctions; ++i) {
+    source += "float g" + std::to_string(i) + "(float v) { return v; }\n";
+  }
+  const auto reference = rcl::extract_features_from_source(source);
+  ASSERT_TRUE(reference.ok()) << reference.error().message;
+
+  rcl::SourceFeeder feeder;
+  for (std::size_t offset = 0; offset < source.size(); offset += 4096) {
+    ASSERT_TRUE(feeder.feed(std::string_view(source).substr(offset, 4096)).ok());
+  }
+  const std::size_t held = feeder.deferred_ast_bytes();
+  ASSERT_TRUE(feeder.finish().ok());
+  EXPECT_EQ(feeder.deferred_ast_bytes(), 0u);
+  const auto features = feeder.features();
+  ASSERT_TRUE(features.ok()) << features.error().message;
+  EXPECT_EQ(std::memcmp(features.value().counts.data(), reference.value().counts.data(),
+                        sizeof(double) * rcl::kNumFeatures),
+            0);
+  // About 1 MB for these 2001 trees; a 16 KB slab apiece would be 32 MB.
+  EXPECT_LE(held, std::size_t{kFunctions + 1} * 1024)
+      << held << " bytes held for " << kFunctions + 1 << " deferred functions";
+}
+
 }  // namespace
